@@ -89,11 +89,12 @@ bench-smoke:
 # The cluster-mode end-to-end tests under the race detector: three
 # shard daemons plus a coordinator started through the real CLI entry
 # point, checking routed ingest, bit-identical merged answers, and
-# stale-slice degradation when a shard dies. CLUSTER_STATUS_OUT makes
-# the test persist the final GET /cluster JSON (CI uploads it as an
-# artifact).
+# stale-slice degradation when a shard dies. CLUSTER_STATUS_OUT and
+# CLUSTER_METRICS_OUT make the test persist the final GET /cluster JSON
+# and the coordinator's final /metrics (CI uploads both as artifacts).
 cluster-smoke:
 	CLUSTER_STATUS_OUT=$(CURDIR)/cluster_status.json \
+	CLUSTER_METRICS_OUT=$(CURDIR)/cluster_metrics.txt \
 	DEBUG_REQUESTS_OUT=$(CURDIR)/debug_requests.json \
 		$(GO) test -race -count=1 -run '^TestCluster' ./cmd/sketchtreed
 

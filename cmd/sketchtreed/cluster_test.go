@@ -23,6 +23,7 @@ type clusterStatus struct {
 		Reachable           bool   `json:"reachable"`
 		Stale               bool   `json:"stale"`
 		Trees               int64  `json:"trees"`
+		Reset               bool   `json:"reset"`
 		ConsecutiveFailures int    `json:"consecutive_failures"`
 	} `json:"shards"`
 	Merged *struct {
@@ -95,6 +96,33 @@ func getCluster(t *testing.T, base string) clusterStatus {
 		t.Fatalf("decoding /cluster: %v", err)
 	}
 	return cs
+}
+
+// promCounters reads one per-shard counter family from the daemon's
+// /metrics, in shard order.
+func promCounters(t *testing.T, base, family string) []int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	prom, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int64
+	for _, line := range strings.Split(string(prom), "\n") {
+		if !strings.HasPrefix(line, family+"{shard=") {
+			continue
+		}
+		var v int64
+		if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // shardArgs is the engine shape shared by every daemon in the test
@@ -224,6 +252,33 @@ func TestClusterThreeShards(t *testing.T) {
 		t.Error("/metrics missing sketchtree_cluster_pulls_total")
 	}
 
+	// Ingest has stopped, so the 50ms pull rounds are quiet: every shard
+	// answers 304, nothing is restored and no merged state is published.
+	quietFrom := getCluster(t, base).Merged.Rounds
+	restored := promCounters(t, base, "sketchtree_cluster_restores_total")
+	unchanged := promCounters(t, base, "sketchtree_cluster_pull_not_modified_total")
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		now := promCounters(t, base, "sketchtree_cluster_pull_not_modified_total")
+		quiet := len(now) == 3
+		for i, n := range now {
+			quiet = quiet && n >= unchanged[i]+2
+		}
+		if quiet {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("quiet pulls never answered 304: %v -> %v", unchanged, now)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	if got := promCounters(t, base, "sketchtree_cluster_restores_total"); fmt.Sprint(got) != fmt.Sprint(restored) {
+		t.Errorf("quiet rounds restored synopses: restores %v -> %v", restored, got)
+	}
+	if got := getCluster(t, base).Merged.Rounds; got != quietFrom {
+		t.Errorf("quiet rounds published merged states: rounds %d -> %d", quietFrom, got)
+	}
+
 	// Kill shard 2 and wait for the coordinator to notice.
 	shards[2].stop(t)
 	deadline = time.Now().Add(15 * time.Second)
@@ -266,6 +321,22 @@ func TestClusterThreeShards(t *testing.T) {
 			t.Fatalf("writing %s: %v", out, err)
 		}
 		t.Logf("wrote cluster status to %s", out)
+	}
+	// ... and the coordinator's final /metrics exposition.
+	if out := os.Getenv("CLUSTER_METRICS_OUT"); out != "" {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prom, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, prom, 0o644); err != nil {
+			t.Fatalf("writing %s: %v", out, err)
+		}
+		t.Logf("wrote coordinator metrics to %s", out)
 	}
 
 	// Graceful coordinator drain (stop is also the test cleanup; doing

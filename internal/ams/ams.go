@@ -198,13 +198,23 @@ func (s *Sketch) Update(v uint64, delta int64) {
 // parallel construction from the same master seed); the result is then
 // the sketch of the union of the two streams.
 func (s *Sketch) AddSketch(o *Sketch) error {
-	if o.seeds != s.seeds && !s.seeds.Equal(o.seeds) {
+	if !s.seeds.Equal(o.seeds) {
 		return fmt.Errorf("ams: cannot add sketches with different seeds")
 	}
+	s.AddCounters(o)
+	return nil
+}
+
+// AddCounters is AddSketch without the seed comparison: the caller has
+// already established that the two sketches' Seeds are Equal (for
+// instance once for a whole family of sketches sharing one Seeds).
+// Adding counters under different seeds yields a meaningless sketch.
+//
+//lint:hotpath
+func (s *Sketch) AddCounters(o *Sketch) {
 	for c := range s.x {
 		s.x[c] += o.x[c]
 	}
-	return nil
 }
 
 // Equal reports whether two seed sets define the same ξ variables:
@@ -221,15 +231,9 @@ func (se *Seeds) Equal(o *Seeds) bool {
 		se.fam.Field().Modulus() != o.fam.Field().Modulus() {
 		return false
 	}
-	for i := range se.gens {
-		a, b := se.gens[i].SeedWords(), o.gens[i].SeedWords()
-		if len(a) != len(b) {
+	for i, g := range se.gens {
+		if !g.SameSeed(o.gens[i]) {
 			return false
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return false
-			}
 		}
 	}
 	return true

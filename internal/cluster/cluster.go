@@ -13,6 +13,14 @@
 // pulls in shard order, and publishes the result for lock-free query
 // serving.
 //
+// Pulls are conditional. A shard tags its synopsis with a strong ETag,
+// the SHA-256 of the exact bytes (ServeSynopsis), and the coordinator
+// sends back the tag of the bytes it last restored in If-None-Match. An
+// unchanged shard answers 304 with no body, and a round in which every
+// shard answered 304 restores and rebuilds nothing. Being derived from
+// content, the tag needs no invalidation rule: any change to the
+// synopsis — adds, removes, window rotation, a restart — changes it.
+//
 // Freshness and failure: answers come from the best state the
 // coordinator has now, with explicit provenance about how stale it is.
 // A down shard degrades to serving the last synopsis pulled from it
@@ -22,7 +30,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -138,8 +149,17 @@ type ShardStatus struct {
 	// successful pull because the shard is currently unreachable.
 	Stale bool `json:"stale"`
 
-	// Trees is the shard's tree count at its last successful pull.
+	// Trees is the tree count of the synopsis last restored from the
+	// shard — exactly the slice merged answers include.
 	Trees int64 `json:"trees"`
+
+	// Reset marks a shard whose tree count fell from one restored pull
+	// to the next: it restarted empty or lost documents, and those
+	// documents are gone from merged counts too. It stays set for the
+	// coordinator's lifetime (sketchtree_cluster_shard_resets_total
+	// counts the events). A shard that removes documents or expires
+	// window slices lowers its count legitimately and is flagged too.
+	Reset bool `json:"reset"`
 
 	// LastPullAgeMS is the age of the last successful pull in
 	// milliseconds; -1 when the shard has never been pulled.
@@ -171,13 +191,15 @@ type Serving struct {
 // Puller.mu.
 type shardState struct {
 	url      string
-	data     []byte // last successfully pulled synopsis, nil before first
-	trees    int64
-	lastPull time.Time // last successful pull
-	nextTry  time.Time // earliest next attempt (backoff)
-	failures int       // consecutive failures
+	st       *sketchtree.SketchTree // last restored synopsis, nil before first; never mutated
+	etag     string                 // ETag of the bytes st was restored from
+	trees    int64                  // st's tree count
+	reset    bool                   // the tree count has fallen between pulls
+	lastPull time.Time              // last successful pull
+	nextTry  time.Time              // earliest next attempt (backoff)
+	failures int                    // consecutive failures
 	lastErr  error
-	gen      int64 // bumped per successful pull; drives rebuilds
+	gen      int64 // bumped per restored (200) pull; drives rebuilds
 }
 
 // Puller owns the coordinator's pull/merge loop and the published
@@ -252,13 +274,14 @@ func (p *Puller) Status() []ShardStatus {
 			URL:                 sh.url,
 			Reachable:           sh.failures == 0 && !sh.lastPull.IsZero(),
 			Trees:               sh.trees,
+			Reset:               sh.reset,
 			LastPullAgeMS:       -1,
 			ConsecutiveFailures: sh.failures,
 		}
 		if !sh.lastPull.IsZero() {
 			st.LastPullAgeMS = time.Since(sh.lastPull).Milliseconds()
 		}
-		st.Stale = !st.Reachable && sh.data != nil
+		st.Stale = !st.Reachable && sh.st != nil
 		if sh.lastErr != nil {
 			st.LastError = sh.lastErr.Error()
 		}
@@ -290,13 +313,16 @@ func (p *Puller) Run(ctx context.Context) {
 // PullNow runs one pull round synchronously, ignoring per-shard
 // backoff windows — the freshness fan-out behind /query?fresh=1. It
 // returns the first shard error (the merged state still advances for
-// the shards that answered).
+// the shards that answered). When every shard answers 304 Not Modified
+// the published state is already fresh and stays as it is.
 func (p *Puller) PullNow(ctx context.Context) error {
 	return p.round(ctx, true)
 }
 
 // round pulls the due shards in parallel, folds the results into the
-// shard states, and rebuilds the merged state when anything changed.
+// shard states, and rebuilds the merged state when a pull brought new
+// bytes. Each pull goroutine restores its own shard's synopsis, so a
+// busy round restores in parallel and the rebuild only merges.
 //
 // The round is traced: a round triggered by a traced request
 // (/query?fresh=1 — the request trace rides in on ctx) records its
@@ -306,15 +332,16 @@ func (p *Puller) PullNow(ctx context.Context) error {
 // evicts request history.
 func (p *Puller) round(ctx context.Context, force bool) error {
 	type target struct {
-		i   int
-		url string
+		i    int
+		url  string
+		etag string
 	}
 	now := time.Now()
 	var due []target
 	p.mu.Lock()
 	for i, sh := range p.shards {
 		if force || !now.Before(sh.nextTry) {
-			due = append(due, target{i, sh.url})
+			due = append(due, target{i, sh.url, sh.etag})
 		}
 	}
 	p.mu.Unlock()
@@ -329,24 +356,13 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 		owned = true
 	}
 
-	type result struct {
-		i     int
-		data  []byte
-		trees int64
-		err   error
-	}
-	results := make([]result, len(due))
+	results := make([]pullResult, len(due))
 	var wg sync.WaitGroup
 	for n, tg := range due {
 		wg.Add(1)
 		go func(n int, tg target) {
 			defer wg.Done()
-			sp := tr.StartSpan("pull:" + strconv.Itoa(tg.i))
-			start := time.Now()
-			data, trees, err := p.fetch(ctx, tg.url, tr.ID())
-			p.cfg.Metrics.PullDone(tg.i, time.Since(start), int64(len(data)), err)
-			tr.EndSpan(sp)
-			results[n] = result{i: tg.i, data: data, trees: trees, err: err}
+			results[n] = p.pull(ctx, tr, tg.i, tg.url, tg.etag)
 		}(n, tg)
 	}
 	wg.Wait()
@@ -354,40 +370,49 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 	var firstErr error
 	now = time.Now()
 	p.mu.Lock()
-	for _, r := range results {
-		sh := p.shards[r.i]
+	for n, r := range results {
+		i := due[n].i
+		sh := p.shards[i]
 		if r.err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d (%s): %w", r.i, sh.url, r.err)
+				firstErr = fmt.Errorf("shard %d (%s): %w", i, sh.url, r.err)
 			}
 			sh.failures++
 			sh.lastErr = r.err
 			sh.nextTry = now.Add(p.backoff(sh.failures))
-			p.cfg.Logger.Warn("synopsis pull failed", "shard", r.i, "url", sh.url,
+			p.cfg.Logger.Warn("synopsis pull failed", "shard", i, "url", sh.url,
 				"err", r.err, "consecutive_failures", sh.failures, "trace_id", tr.ID())
 			continue
 		}
 		sh.failures = 0
 		sh.lastErr = nil
 		sh.nextTry = time.Time{}
-		sh.data = r.data
-		sh.trees = r.trees
 		sh.lastPull = now
+		if r.st == nil {
+			continue // 304: the restored synopsis is still current
+		}
+		trees := r.st.TreesProcessed()
+		if sh.st != nil && trees < sh.trees {
+			sh.reset = true
+			p.cfg.Metrics.ShardReset(i)
+			p.cfg.Logger.Warn("shard tree count fell; its earlier documents are gone from merged counts",
+				"shard", i, "url", sh.url, "old_trees", sh.trees, "new_trees", trees, "trace_id", tr.ID())
+		}
+		sh.st, sh.etag, sh.trees = r.st, r.etag, trees
 		sh.gen++
 	}
-	// Snapshot the per-shard bytes under mu; the restore+merge work
-	// runs outside it so Status and later rounds are never blocked
-	// behind a rebuild.
+	// Snapshot the per-shard engines under mu; the merge runs outside it
+	// so Status and later rounds are never blocked behind a rebuild.
 	var gen int64
-	datas := make([][]byte, len(p.shards))
+	engines := make([]*sketchtree.SketchTree, len(p.shards))
 	for i, sh := range p.shards {
-		datas[i] = sh.data
+		engines[i] = sh.st
 		gen += sh.gen
 	}
 	p.mu.Unlock()
 
 	if gen != p.builtAt.Load() {
-		if err := p.rebuild(datas, gen, tr); err != nil && firstErr == nil {
+		if err := p.rebuild(engines, gen, tr); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -399,6 +424,44 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 		tr.Finish(status)
 	}
 	return firstErr
+}
+
+// pullResult is one shard pull's outcome: st is nil on a 304 (and on
+// error), otherwise the synopsis restored from the body tagged etag.
+type pullResult struct {
+	st   *sketchtree.SketchTree
+	etag string
+	err  error
+}
+
+// pull fetches shard i's synopsis conditionally on etag (the tag of
+// the bytes last restored from it, "" before the first) and restores a
+// changed body. Bytes that fail to restore fail the pull: their tag is
+// not kept, so the next round pulls the shard in full again.
+func (p *Puller) pull(ctx context.Context, tr *trace.Trace, i int, url, etag string) pullResult {
+	sp := tr.StartSpan("pull:" + strconv.Itoa(i))
+	defer tr.EndSpan(sp)
+	start := time.Now()
+	data, newTag, err := p.fetch(ctx, url, etag, tr.ID())
+	var st *sketchtree.SketchTree
+	if err == nil && data != nil {
+		rs := tr.StartChild(sp, "restore")
+		st, err = sketchtree.Restore(data)
+		tr.EndSpan(rs)
+		if err != nil {
+			err = fmt.Errorf("restoring synopsis: %w", err)
+		}
+	}
+	p.cfg.Metrics.PullDone(i, time.Since(start), int64(len(data)), err)
+	switch {
+	case err != nil:
+		return pullResult{err: err}
+	case st == nil:
+		p.cfg.Metrics.NotModified(i)
+	default:
+		p.cfg.Metrics.Restored(i)
+	}
+	return pullResult{st: st, etag: newTag}
 }
 
 // backoff returns the retry delay after n consecutive failures:
@@ -415,63 +478,71 @@ func (p *Puller) backoff(n int) time.Duration {
 	return min(d, p.cfg.MaxBackoff)
 }
 
-// fetch pulls one shard's serialized synopsis. traceID, when non-empty,
-// propagates on the request header so the shard's flight recorder joins
-// this round's trace.
-func (p *Puller) fetch(ctx context.Context, base, traceID string) (data []byte, trees int64, err error) {
+// fetch pulls one shard's serialized synopsis, conditionally on etag
+// when it is non-empty: a 304 answer returns nil data and no error.
+// traceID, when non-empty, propagates on the request header so the
+// shard's flight recorder joins this round's trace.
+func (p *Puller) fetch(ctx context.Context, base, etag, traceID string) (data []byte, newTag string, err error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.PullTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/synopsis", nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, "", err
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
 	}
 	if traceID != "" {
 		req.Header.Set(trace.Header, traceID)
 	}
 	resp, err := p.cfg.Client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotModified:
+		if etag == "" {
+			return nil, "", fmt.Errorf("GET /synopsis: 304 to an unconditional request")
+		}
+		return nil, "", nil
+	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, 0, fmt.Errorf("GET /synopsis: status %d", resp.StatusCode)
+		return nil, "", fmt.Errorf("GET /synopsis: status %d", resp.StatusCode)
 	}
 	data, err = io.ReadAll(io.LimitReader(resp.Body, p.cfg.MaxSynopsisBytes+1))
 	if err != nil {
-		return nil, 0, err
+		return nil, "", err
 	}
 	if int64(len(data)) > p.cfg.MaxSynopsisBytes {
-		return nil, 0, fmt.Errorf("synopsis exceeds %d bytes", p.cfg.MaxSynopsisBytes)
+		return nil, "", fmt.Errorf("synopsis exceeds %d bytes", p.cfg.MaxSynopsisBytes)
 	}
-	trees, _ = strconv.ParseInt(resp.Header.Get("X-Sketchtree-Trees"), 10, 64)
-	return data, trees, nil
+	return data, resp.Header.Get("ETag"), nil
 }
 
-// rebuild restores every pulled shard synopsis and merges them in
-// shard-index order into a fresh engine, then publishes it. Because
-// the sketch cells are exact integer sums that commute, the merged
-// synopsis — and therefore every answer served from it — is
+// rebuild merges the restored shard synopses, in shard-index order,
+// into a copy of the first and publishes it. The restored engines are
+// only read, so an unchanged shard's engine serves every later rebuild
+// as is. Because the sketch cells are exact integer sums that commute,
+// the merged synopsis — and therefore every answer served from it — is
 // bit-identical to a single node that ingested the whole corpus.
 // Shards that have never been pulled contribute nothing (their slice
 // is absent until they come up).
-func (p *Puller) rebuild(datas [][]byte, gen int64, tr *trace.Trace) error {
+func (p *Puller) rebuild(engines []*sketchtree.SketchTree, gen int64, tr *trace.Trace) error {
 	sp := tr.StartSpan("merge")
 	var merged *sketchtree.SketchTree
-	for i, data := range datas {
-		if data == nil {
+	for i, st := range engines {
+		var err error
+		switch {
+		case st == nil:
 			continue
+		case merged == nil:
+			merged, err = st.Snapshot()
+		default:
+			err = merged.Merge(st)
 		}
-		st, err := sketchtree.Restore(data)
 		if err != nil {
-			tr.EndSpan(sp)
-			return fmt.Errorf("restoring shard %d synopsis: %w", i, err)
-		}
-		if merged == nil {
-			merged = st
-			continue
-		}
-		if err := merged.Merge(st); err != nil {
 			tr.EndSpan(sp)
 			return fmt.Errorf("merging shard %d synopsis: %w", i, err)
 		}
@@ -499,4 +570,15 @@ func (p *Puller) publish(merged *sketchtree.SketchTree) {
 		Built:  time.Now(),
 		Rounds: p.rounds.Add(1),
 	})
+}
+
+// ServeSynopsis writes a serialized synopsis as the shard half of the
+// pull protocol: the body tagged with a strong ETag, the SHA-256 of
+// exactly these bytes, or a bodiless 304 Not Modified when the
+// request's If-None-Match names that tag.
+func ServeSynopsis(w http.ResponseWriter, r *http.Request, data []byte) {
+	sum := sha256.Sum256(data)
+	w.Header().Set("ETag", `"`+hex.EncodeToString(sum[:])+`"`)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(data))
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -130,45 +129,73 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 	}
 }
 
-// shardHandler serves /synopsis for a fixed engine, with a failure
-// switch and a request counter.
+// shardHandler serves /synopsis for a swappable Safe through the real
+// shard half of the pull protocol, with a failure switch, an optional
+// raw body served in place of the synopsis, a request counter, and the
+// last If-None-Match it received.
 type shardHandler struct {
-	st    *sketchtree.SketchTree
+	safe  atomic.Pointer[sketchtree.Safe]
+	body  atomic.Pointer[[]byte]
 	fail  atomic.Bool
 	pulls atomic.Int64
+	inm   atomic.Pointer[string]
 }
 
 func (h *shardHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.pulls.Add(1)
+	inm := r.Header.Get("If-None-Match")
+	h.inm.Store(&inm)
 	if h.fail.Load() {
 		http.Error(w, "injected failure", http.StatusInternalServerError)
 		return
 	}
-	data, err := h.st.MarshalBinary()
+	if b := h.body.Load(); b != nil {
+		ServeSynopsis(w, r, *b)
+		return
+	}
+	data, err := h.safe.Load().MarshalBinary()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("X-Sketchtree-Trees", strconv.FormatInt(h.st.TreesProcessed(), 10))
-	w.Write(data)
+	ServeSynopsis(w, r, data)
 }
 
-func newShard(t *testing.T, docs ...string) (*shardHandler, *httptest.Server) {
+// lastIfNoneMatch returns the If-None-Match of the latest request.
+func (h *shardHandler) lastIfNoneMatch() string {
+	if p := h.inm.Load(); p != nil {
+		return *p
+	}
+	return ""
+}
+
+func parseDoc(t testing.TB, d string) *sketchtree.Tree {
 	t.Helper()
-	st, err := sketchtree.New(testConfig())
+	tr, err := sketchtree.ParseXML(strings.NewReader(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func newSafe(t testing.TB, docs ...string) *sketchtree.Safe {
+	t.Helper()
+	safe, err := sketchtree.NewSafe(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range docs {
-		tr, err := sketchtree.ParseXML(strings.NewReader(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AddTree(tr); err != nil {
+		if err := safe.AddTree(parseDoc(t, d)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h := &shardHandler{st: st}
+	return safe
+}
+
+func newShard(t *testing.T, docs ...string) (*shardHandler, *httptest.Server) {
+	t.Helper()
+	h := &shardHandler{}
+	h.safe.Store(newSafe(t, docs...))
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return h, ts
@@ -223,8 +250,8 @@ func TestPullMergePublishes(t *testing.T) {
 	if err := p.PullNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sv2 := p.Serving(); sv2.Rounds != 2 || sv2.Trees != 3 {
-		t.Fatalf("second round: rounds=%d trees=%d, want 2/3", sv2.Rounds, sv2.Trees)
+	if sv2 := p.Serving(); sv2 != sv || sv2.Rounds != 1 || sv2.Trees != 3 {
+		t.Fatalf("second round: rounds=%d trees=%d, want the same 1/3 state", sv2.Rounds, sv2.Trees)
 	}
 
 	status := p.Status()

@@ -31,10 +31,7 @@ import (
 // The receiver must be quiescent or locked against updates while
 // cloning; Safe takes care of that for snapshot serving.
 func (e *Engine) Clone() (*Engine, error) {
-	streams, err := e.streams.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("core: clone: %w", err)
-	}
+	streams := e.streams.Clone()
 	// The clone never updates, but applyTree's machinery stays usable so
 	// a clone behaves like any engine (tests merge into clones, etc.).
 	en, err := enum.NewEnumerator(e.cfg.MaxPatternEdges)

@@ -48,25 +48,13 @@ func (e *Engine) Merge(o *Engine) error {
 	if e.fp.Modulus() != o.fp.Modulus() {
 		return fmt.Errorf("core: fingerprint moduli differ")
 	}
-	// Guard against seed-word divergence (e.g. one engine restored
-	// from a foreign snapshot): compare a generator spot check.
-	ew, ow := e.seeds.Words(), o.seeds.Words()
-	for i := range ew {
-		if len(ew[i]) != len(ow[i]) {
-			return fmt.Errorf("core: ξ seeds differ")
-		}
-		for j := range ew[i] {
-			if ew[i][j] != ow[i][j] {
-				return fmt.Errorf("core: ξ seeds differ")
-			}
-		}
+	// Guard against seed-word divergence (e.g. one engine restored from
+	// a foreign snapshot). An engine's streams all share its one Seeds,
+	// so this single comparison covers every per-stream counter add.
+	if !e.seeds.Equal(o.seeds) {
+		return fmt.Errorf("core: ξ seeds differ")
 	}
-	for i := 0; i < e.streams.P(); i++ {
-		if err := e.streams.Sketch(i).AddSketch(o.streams.Sketch(i)); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	if err := e.streams.AbsorbItems(o.streams); err != nil {
+	if err := e.streams.Add(o.streams); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	if e.sum != nil && o.sum != nil {

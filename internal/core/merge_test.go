@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"sketchtree/internal/tree"
@@ -291,5 +294,111 @@ func TestEstimateAlternationsExample5(t *testing.T) {
 	alt, err := e.EstimateAlternations(tree.T("VP", tree.T("MD"), tree.T("NP")))
 	if err != nil || alt != plain {
 		t.Errorf("single alternative must match plain: %v vs %v (%v)", alt, plain, err)
+	}
+}
+
+// daemonMergeConfig is sketchtreed's default synopsis with top-k off,
+// the configuration every cluster shard runs: k=4, p=229, s1=25, s2=7.
+func daemonMergeConfig(p int) Config {
+	cfg := DefaultConfig()
+	cfg.TopK = 0
+	cfg.VirtualStreams = p
+	return cfg
+}
+
+// restoredPair returns two engines restored from separate snapshots,
+// the shape the cluster coordinator merges: equal seeds, but distinct
+// Seeds objects, so the seed check cannot take the pointer fast path.
+func restoredPair(t *testing.T, cfg Config) (*Engine, *Engine) {
+	t.Helper()
+	src := mustEngine(t, cfg)
+	figure1Stream(t, src)
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestMergeAllocsIndependentOfP pins the merge cost: the seeds are
+// compared once per merge and the p per-stream counter adds run
+// unchecked, so Merge allocates nothing at any number of virtual
+// streams (it used to re-export every generator's seed words once per
+// stream: 80,503 allocations at p=229).
+func TestMergeAllocsIndependentOfP(t *testing.T) {
+	for _, p := range []int{1, 229} {
+		a, b := restoredPair(t, daemonMergeConfig(p))
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := a.Merge(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("p=%d: Merge allocates %.0f times, want 0", p, allocs)
+		}
+	}
+}
+
+// TestMergeRejectsForeignSeedWords: two engines with the same
+// Config.Seed and fingerprint modulus, one restored from a snapshot
+// whose ξ seed words were altered, must still refuse to merge — the
+// single per-merge seed comparison is the only guard in front of the
+// unchecked per-stream counter adds.
+func TestMergeRejectsForeignSeedWords(t *testing.T) {
+	cfg := daemonMergeConfig(229)
+	src := mustEngine(t, cfg)
+	figure1Stream(t, src)
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sn snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sn); err != nil {
+		t.Fatal(err)
+	}
+	last := len(sn.SeedWords) - 1
+	sn.SeedWords[last][1] ^= 1 // a BCH s1 bit of the last cell
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sn); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := Restore(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign.Config().Seed != src.Config().Seed || foreign.fp.Modulus() != src.fp.Modulus() {
+		t.Fatal("altered snapshot must keep the seed and modulus")
+	}
+	for _, tc := range []struct {
+		name string
+		dst  *Engine
+		op   *Engine
+	}{
+		{"IntoLive", src, foreign},
+		{"IntoForeign", foreign, src},
+	} {
+		before, err := tc.dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.dst.Merge(tc.op)
+		if err == nil || !strings.Contains(err.Error(), "ξ seeds differ") {
+			t.Fatalf("%s: Merge err = %v, want ξ seeds differ", tc.name, err)
+		}
+		after, err := tc.dst.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: rejected merge modified the receiver", tc.name)
+		}
 	}
 }

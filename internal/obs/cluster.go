@@ -20,6 +20,9 @@ type clusterShardCell struct {
 	pullFailures atomic.Int64
 	pullNanos    atomic.Int64
 	pullBytes    atomic.Int64
+	notModified  atomic.Int64
+	restores     atomic.Int64
+	resets       atomic.Int64
 	routed       atomic.Int64
 	routeErrors  atomic.Int64
 }
@@ -32,10 +35,10 @@ func NewClusterMetrics(n int) *ClusterMetrics {
 // PullDone records one synopsis pull attempt against a shard: its
 // latency, the synopsis size on success, and whether it failed.
 func (m *ClusterMetrics) PullDone(shard int, d time.Duration, bytes int64, err error) {
-	if m == nil || shard < 0 || shard >= len(m.shards) {
+	c := m.cell(shard)
+	if c == nil {
 		return
 	}
-	c := &m.shards[shard]
 	c.pulls.Add(1)
 	c.pullNanos.Add(d.Nanoseconds())
 	if err != nil {
@@ -45,13 +48,46 @@ func (m *ClusterMetrics) PullDone(shard int, d time.Duration, bytes int64, err e
 	c.pullBytes.Add(bytes)
 }
 
+// NotModified records a successful pull the shard answered with 304:
+// its synopsis is unchanged, so nothing was restored.
+func (m *ClusterMetrics) NotModified(shard int) {
+	if c := m.cell(shard); c != nil {
+		c.notModified.Add(1)
+	}
+}
+
+// Restored records a successful pull whose new synopsis bytes were
+// restored into an engine.
+func (m *ClusterMetrics) Restored(shard int) {
+	if c := m.cell(shard); c != nil {
+		c.restores.Add(1)
+	}
+}
+
+// ShardReset records a pull whose restored tree count fell below the
+// shard's previous count.
+func (m *ClusterMetrics) ShardReset(shard int) {
+	if c := m.cell(shard); c != nil {
+		c.resets.Add(1)
+	}
+}
+
+// cell returns shard's counters, or nil on a nil receiver or an
+// out-of-range shard.
+func (m *ClusterMetrics) cell(shard int) *clusterShardCell {
+	if m == nil || shard < 0 || shard >= len(m.shards) {
+		return nil
+	}
+	return &m.shards[shard]
+}
+
 // RouteDone records one ingest request routed to a shard and whether
 // forwarding it failed at the transport level.
 func (m *ClusterMetrics) RouteDone(shard int, err error) {
-	if m == nil || shard < 0 || shard >= len(m.shards) {
+	c := m.cell(shard)
+	if c == nil {
 		return
 	}
-	c := &m.shards[shard]
 	c.routed.Add(1)
 	if err != nil {
 		c.routeErrors.Add(1)
@@ -64,6 +100,9 @@ type ClusterShardSnapshot struct {
 	PullFailures int64 `json:"pull_failures"`
 	PullNanos    int64 `json:"pull_nanos"`
 	PullBytes    int64 `json:"pull_bytes"`
+	NotModified  int64 `json:"pull_not_modified"`
+	Restores     int64 `json:"restores"`
+	Resets       int64 `json:"resets"`
 	Routed       int64 `json:"routed"`
 	RouteErrors  int64 `json:"route_errors"`
 }
@@ -82,6 +121,9 @@ func (m *ClusterMetrics) Snapshot() []ClusterShardSnapshot {
 			PullFailures: c.pullFailures.Load(),
 			PullNanos:    c.pullNanos.Load(),
 			PullBytes:    c.pullBytes.Load(),
+			NotModified:  c.notModified.Load(),
+			Restores:     c.restores.Load(),
+			Resets:       c.resets.Load(),
 			Routed:       c.routed.Load(),
 			RouteErrors:  c.routeErrors.Load(),
 		}
@@ -108,6 +150,12 @@ func WriteClusterProm(w io.Writer, shards []ClusterShardSnapshot) {
 		func(s ClusterShardSnapshot) string { return formatSeconds(s.PullNanos) })
 	family("sketchtree_cluster_pull_bytes_total", "Synopsis bytes pulled per shard.",
 		func(s ClusterShardSnapshot) string { return fmt.Sprintf("%d", s.PullBytes) })
+	family("sketchtree_cluster_pull_not_modified_total", "Synopsis pulls a shard answered 304 Not Modified (nothing restored).",
+		func(s ClusterShardSnapshot) string { return fmt.Sprintf("%d", s.NotModified) })
+	family("sketchtree_cluster_restores_total", "Pulled shard synopses restored (changed bytes).",
+		func(s ClusterShardSnapshot) string { return fmt.Sprintf("%d", s.Restores) })
+	family("sketchtree_cluster_shard_resets_total", "Pulls whose restored tree count fell below the shard's previous count.",
+		func(s ClusterShardSnapshot) string { return fmt.Sprintf("%d", s.Resets) })
 	family("sketchtree_cluster_routed_total", "Ingest requests routed per shard.",
 		func(s ClusterShardSnapshot) string { return fmt.Sprintf("%d", s.Routed) })
 	family("sketchtree_cluster_route_errors_total", "Routed ingests that failed at the transport level per shard.",

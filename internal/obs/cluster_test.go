@@ -38,6 +38,9 @@ func TestClusterMetricsNilSafe(t *testing.T) {
 	var m *ClusterMetrics
 	// All methods must be no-ops on nil (the Metrics field is optional).
 	m.PullDone(0, time.Millisecond, 1, nil)
+	m.NotModified(0)
+	m.Restored(0)
+	m.ShardReset(0)
 	m.RouteDone(0, nil)
 	if snap := m.Snapshot(); snap != nil {
 		t.Errorf("nil Snapshot = %v, want nil", snap)
@@ -51,7 +54,10 @@ func TestClusterMetricsShardBounds(t *testing.T) {
 	m.PullDone(5, time.Millisecond, 1, nil)
 	m.RouteDone(-1, nil)
 	m.RouteDone(5, nil)
-	if s := m.Snapshot()[0]; s.Pulls != 0 || s.Routed != 0 {
+	m.NotModified(-1)
+	m.Restored(5)
+	m.ShardReset(5)
+	if s := m.Snapshot()[0]; s != (ClusterShardSnapshot{}) {
 		t.Errorf("out-of-range updates leaked into shard 0: %+v", s)
 	}
 }
@@ -61,6 +67,10 @@ func TestWriteClusterProm(t *testing.T) {
 	m.PullDone(0, 1500*time.Millisecond, 64, nil)
 	m.PullDone(1, time.Millisecond, 0, errors.New("down"))
 	m.RouteDone(0, nil)
+	m.Restored(0)
+	m.NotModified(0)
+	m.NotModified(0)
+	m.ShardReset(1)
 
 	var b strings.Builder
 	WriteClusterProm(&b, m.Snapshot())
@@ -73,6 +83,14 @@ func TestWriteClusterProm(t *testing.T) {
 		`sketchtree_cluster_pull_bytes_total{shard="0"} 64`,
 		`sketchtree_cluster_routed_total{shard="0"} 1`,
 		`sketchtree_cluster_route_errors_total{shard="0"} 0`,
+		`sketchtree_cluster_restores_total{shard="0"} 1`,
+		`sketchtree_cluster_restores_total{shard="1"} 0`,
+		`sketchtree_cluster_pull_not_modified_total{shard="0"} 2`,
+		`sketchtree_cluster_shard_resets_total{shard="0"} 0`,
+		`sketchtree_cluster_shard_resets_total{shard="1"} 1`,
+		"# TYPE sketchtree_cluster_pull_not_modified_total counter",
+		"# TYPE sketchtree_cluster_restores_total counter",
+		"# TYPE sketchtree_cluster_shard_resets_total counter",
 		"# TYPE sketchtree_cluster_pulls_total counter",
 	} {
 		if !strings.Contains(out, want) {

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"sketchtree"
+	"sketchtree/internal/cluster"
 	"sketchtree/internal/obs"
 	"sketchtree/internal/obs/trace"
 )
@@ -451,10 +452,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSynopsis serves the synopsis in its serialized binary form —
-// the pull half of the cluster's pull/merge protocol (see
-// internal/cluster). The snapshot is taken under the read lock; like
-// /stats it bypasses the request limiter so periodic coordinator pulls
-// never compete with query traffic for slots.
+// the shard half of the cluster's conditional pull protocol (see
+// cluster.ServeSynopsis): a strong ETag over the bytes, and a bodiless
+// 304 when the coordinator already holds them. The snapshot is taken
+// under the read lock; like /stats it bypasses the request limiter so
+// periodic coordinator pulls never compete with query traffic for
+// slots. X-Sketchtree-Trees is the live tree count read after the
+// snapshot, so an ingest in between can make it newer than the body;
+// the coordinator counts trees from the restored body instead.
 func (s *Server) handleSynopsis(w http.ResponseWriter, r *http.Request) {
 	tr := trace.FromContext(r.Context())
 	sp := tr.StartSpan("marshal")
@@ -464,12 +469,8 @@ func (s *Server) handleSynopsis(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusInternalServerError, "serializing synopsis: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Sketchtree-Trees", strconv.FormatInt(s.safe.TreesProcessed(), 10))
-	if _, err := w.Write(data); err != nil {
-		// The client went away mid-transfer; nothing recoverable.
-		_ = err
-	}
+	cluster.ServeSynopsis(w, r, data)
 }
 
 // queryRequest is the /query body. Kind selects the estimator; Pattern

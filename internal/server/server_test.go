@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -517,5 +519,65 @@ func TestSynopsisEndpoint(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("restored estimate %v != live %v", got, want)
+	}
+}
+
+// TestSynopsisConditionalGet pins the shard half of the cluster pull
+// protocol: a strong ETag that is the SHA-256 of the exact body, a
+// bodiless 304 for a matching If-None-Match, and a new tag (with the
+// full body) once the synopsis changes.
+func TestSynopsisConditionalGet(t *testing.T) {
+	safe, _, ts := newTestServer(t, Options{})
+	get := func(inm string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/synopsis", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	resp, body := get("")
+	sum := sha256.Sum256(body)
+	tag := `"` + hex.EncodeToString(sum[:]) + `"`
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != tag {
+		t.Fatalf("status %d, ETag %q; want 200 and %q", resp.StatusCode, resp.Header.Get("ETag"), tag)
+	}
+	want, err := safe.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("/synopsis body differs from MarshalBinary")
+	}
+
+	resp, body = get(tag)
+	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+		t.Fatalf("matching If-None-Match: status %d with %d body bytes, want a bodiless 304",
+			resp.StatusCode, len(body))
+	}
+
+	if err := safe.AddXML(strings.NewReader("<a><c/></a>")); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = get(tag)
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("after ingest: status %d with %d body bytes, want 200 with the synopsis",
+			resp.StatusCode, len(body))
+	}
+	if got := resp.Header.Get("ETag"); got == tag || got == "" {
+		t.Fatalf("after ingest: ETag %q, want a new tag", got)
 	}
 }

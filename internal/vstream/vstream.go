@@ -72,19 +72,20 @@ func FromCounters(seeds *ams.Seeds, counters [][]int64) (*Streams, error) {
 // Clone deep-copies the partition: counters and item diagnostics are
 // copied, the (immutable) seeds are shared. The receiver must be
 // quiescent or read-locked against updates while cloning.
-func (s *Streams) Clone() (*Streams, error) {
-	counters := make([][]int64, len(s.sketches))
-	for i, sk := range s.sketches {
-		counters[i] = sk.Counters()
+func (s *Streams) Clone() *Streams {
+	c := &Streams{
+		seeds:    s.seeds,
+		p:        s.p,
+		sketches: make([]*ams.Sketch, len(s.sketches)),
+		items:    make([]atomic.Int64, len(s.items)),
 	}
-	c, err := FromCounters(s.seeds, counters)
-	if err != nil {
-		return nil, err
+	for i, sk := range s.sketches {
+		c.sketches[i] = sk.Clone()
 	}
 	for i := range s.items {
 		c.items[i].Store(s.items[i].Load())
 	}
-	return c, nil
+	return c
 }
 
 // P returns the number of virtual streams.
@@ -128,12 +129,20 @@ func (s *Streams) UpdatePrepared(v uint64, p *xi.Prep, delta int64) {
 // counts are runtime diagnostics, not synopsis state.
 func (s *Streams) Items(i int) int64 { return s.items[i].Load() }
 
-// AbsorbItems adds another partition's item counters into this one —
-// the diagnostics half of a synopsis merge. The operand must have the
-// same number of virtual streams and be quiescent.
-func (s *Streams) AbsorbItems(o *Streams) error {
+// Add folds another partition into this one: the counters of every
+// virtual stream, cell-wise, and the item diagnostics — the synopsis
+// half of an engine merge. The caller must have checked that the two
+// partitions' Seeds are Equal: each partition's sketches all share its
+// one Seeds, so that single check covers all p streams and the adds
+// skip the per-sketch comparison. The operand must be quiescent.
+//
+//lint:hotpath
+func (s *Streams) Add(o *Streams) error {
 	if o.p != s.p {
-		return fmt.Errorf("vstream: cannot absorb items across %d and %d streams", o.p, s.p)
+		return fmt.Errorf("vstream: cannot add %d streams into %d", o.p, s.p)
+	}
+	for i, sk := range s.sketches {
+		sk.AddCounters(o.sketches[i])
 	}
 	for i := range s.items {
 		s.items[i].Add(o.items[i].Load())

@@ -32,6 +32,7 @@ package xi
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"sketchtree/internal/gf2"
 )
@@ -188,6 +189,12 @@ func (g *Generator) SeedWords() []uint64 {
 		out = append(out, g.sign)
 	}
 	return append(out, g.seed...)
+}
+
+// SameSeed reports whether two generators hold the same seed words —
+// SeedWords(g) == SeedWords(o) — without copying them out.
+func (g *Generator) SameSeed(o *Generator) bool {
+	return g.sign == o.sign && slices.Equal(g.seed, o.seed)
 }
 
 // GeneratorFromWords reconstructs a generator from the words returned

@@ -296,10 +296,11 @@ func (s *SketchTree) RemoveTree(t *Tree) error { return s.e.RemoveTree(t) }
 //
 // Immutable state (random seeds, the fingerprint modulus, the
 // query-plan cache) is shared; sketch counters, top-k trackers, the
-// structural summary and the exact baseline are copied. The
-// observability counters are shared too, so queries answered by the
-// snapshot still show up in the receiver's Stats. The exact-shadow
-// auditor is not carried over.
+// structural summary and the exact baseline are copied. The snapshot
+// keeps its own Stats, starting from the receiver's tree and pattern
+// totals, so merging other synopses into it (the cluster coordinator
+// builds its merged view this way) leaves the receiver's Stats
+// untouched. The exact-shadow auditor is not carried over.
 //
 //lint:allow safeparity Safe exposes snapshots as SnapshotTree/EnableSnapshots (atomic.Pointer refresh); a raw Snapshot wrapper would duplicate that API
 func (s *SketchTree) Snapshot() (*SketchTree, error) {
@@ -307,6 +308,9 @@ func (s *SketchTree) Snapshot() (*SketchTree, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := &obs.Metrics{}
+	m.SeedCounts(e.TreesProcessed(), e.PatternsProcessed())
+	e.SetMetrics(m)
 	return &SketchTree{e: e}, nil
 }
 

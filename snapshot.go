@@ -165,10 +165,13 @@ func (s *Safe) snapshotTree() *SketchTree {
 func (s *Safe) refreshLocked() error {
 	m := s.st.e.Metrics()
 	start := m.Now()
-	sn, err := s.st.Snapshot()
+	// The engine clone (unlike SketchTree.Snapshot) shares the live
+	// Metrics, so snapshot-served queries count in Safe's Stats.
+	e, err := s.st.e.Clone()
 	if err != nil {
 		return err
 	}
+	sn := &SketchTree{e: e}
 	s.updatesSince.Store(0)
 	s.snap.Store(&snapState{st: sn, trees: sn.TreesProcessed(), taken: time.Now()})
 	m.StageSince(obs.StagePublish, start)
