@@ -224,26 +224,26 @@ func TestAnnotateEmitsWorkflowCommands(t *testing.T) {
 // are the static equivalent of a failing regression test: delete the
 // guard, watch the analyzer catch it.
 
-// TestDeletedStopSelectIsALeak removes windowLoop's stop arm, turning
-// the ticker loop into an unstoppable goroutine.
+// TestDeletedStopSelectIsALeak removes serveLoop's stop arm, turning
+// the serving slot's ticker loop into an unstoppable goroutine.
 func TestDeletedStopSelectIsALeak(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join(moduleRoot, "window.go"))
+	src, err := os.ReadFile(filepath.Join(moduleRoot, "serve.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const guard = "case <-stop:\n\t\t\treturn\n\t\t"
 	if !bytes.Contains(src, []byte(guard)) {
-		t.Fatalf("window.go no longer has windowLoop's stop arm; update this test")
+		t.Fatalf("serve.go no longer has serveLoop's stop arm; update this test")
 	}
 	mutated := bytes.Replace(src, []byte(guard), nil, 1)
-	m, err := analysis.Load(moduleRoot, map[string][]byte{"window.go": mutated})
+	m, err := analysis.Load(moduleRoot, map[string][]byte{"serve.go": mutated})
 	if err != nil {
 		t.Fatal(err)
 	}
 	diags := analysis.Run(m, []*analysis.Analyzer{checks.GoroutineLeak})
 	found := false
 	for _, d := range diags {
-		if d.Analyzer == "goroutineleak" && strings.Contains(d.Message, "windowLoop loops forever") {
+		if d.Analyzer == "goroutineleak" && strings.Contains(d.Message, "serveLoop loops forever") {
 			found = true
 		}
 	}

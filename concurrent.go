@@ -7,44 +7,31 @@ import (
 	"sync/atomic"
 
 	"sketchtree/internal/obs"
-	"sketchtree/internal/window"
 )
 
 // Safe wraps a SketchTree for concurrent use: updates take the write
 // lock, queries the read lock. Queries are pure reads of the synopsis,
 // so any number may run concurrently between updates.
 //
-// EnableSnapshots switches the Count*/Estimate* reads to a lock-free
-// snapshot-isolated path — see SnapshotPolicy.
+// EnableSnapshots and EnableWindow switch the Count*/Estimate* reads
+// to a lock-free path served from a published frozen view — see
+// SnapshotPolicy and WindowPolicy.
 //
 // The zero Safe is not valid; construct with NewSafe.
 type Safe struct {
-	mu sync.RWMutex
+	mu sync.RWMutex // the only lock updates take, in every mode
 	st *SketchTree
 
-	// Snapshot serving (see snapshot.go). snap is the published frozen
-	// synopsis; snapEvery doubles as the enabled flag (0 = off) and the
-	// refresh interval; updatesSince counts updates since the last
-	// refresh; snapMu serializes Enable/Disable; snapStop/snapDone
-	// bracket the MaxAge refresher goroutine.
-	snap         atomic.Pointer[snapState]
-	snapEvery    atomic.Int64
-	updatesSince atomic.Int64
-	snapMu       sync.Mutex
-	snapStop     chan struct{}
-	snapDone     chan struct{}
-
-	// Sliding-window serving (see window.go). win is non-nil while the
-	// window is enabled: updates route into its slice ring and reads
-	// into its published merged engine. winServing caches the SketchTree
-	// wrapper per published generation; winMu serializes
-	// Enable/Disable; winStop/winDone bracket the clock-cadence
-	// advancer goroutine.
-	win        atomic.Pointer[window.Windowed]
-	winServing atomic.Pointer[winServing]
-	winMu      sync.Mutex
-	winStop    chan struct{}
-	winDone    chan struct{}
+	// The serving slot (see serve.go), shared by snapshot and window
+	// mode. view is the published frozen state (nil = locked path);
+	// every is the update cadence (guarded by mu); since counts updates
+	// since the last publish; serveMu serializes Enable/Disable;
+	// stopLoop ends and joins the background loop.
+	view     atomic.Pointer[view]
+	every    int64
+	since    atomic.Int64
+	serveMu  sync.Mutex
+	stopLoop func()
 }
 
 // NewSafe creates a concurrency-safe SketchTree.
@@ -71,14 +58,10 @@ func RestoreSafe(data []byte) (*Safe, error) {
 func (s *Safe) AddTree(t *Tree) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.win.Load(); w != nil {
-		return w.Add(t)
+	if v := s.windowView(); v != nil {
+		return s.noteUpdateLocked(v.ring.Add(t))
 	}
-	if err := s.st.AddTree(t); err != nil {
-		return err
-	}
-	s.noteUpdateLocked()
-	return nil
+	return s.noteUpdateLocked(false, s.st.AddTree(t))
 }
 
 // RemoveTree deletes one earlier occurrence of the tree (from the
@@ -87,14 +70,10 @@ func (s *Safe) AddTree(t *Tree) error {
 func (s *Safe) RemoveTree(t *Tree) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.win.Load(); w != nil {
-		return w.Remove(t)
+	if v := s.windowView(); v != nil {
+		return s.noteUpdateLocked(v.ring.Remove(t))
 	}
-	if err := s.st.RemoveTree(t); err != nil {
-		return err
-	}
-	s.noteUpdateLocked()
-	return nil
+	return s.noteUpdateLocked(false, s.st.RemoveTree(t))
 }
 
 // AddXML parses one XML document (outside the lock) and folds it into
@@ -138,8 +117,8 @@ func (s *Safe) AddXMLForestCount(r io.Reader) (int64, error) {
 // enabled, the live engine's otherwise. Both are atomic counter
 // blocks, never mutable sketch state, so no lock is needed.
 func (s *Safe) ingestMetrics() *obs.Metrics {
-	if w := s.win.Load(); w != nil {
-		return w.Metrics()
+	if v := s.windowView(); v != nil {
+		return v.ring.Metrics()
 	}
 	return s.st.e.Metrics()
 }
@@ -150,8 +129,10 @@ func (s *Safe) EnableMetrics(on bool) {
 	// The metrics flag is itself atomic; no lock needed.
 	//lint:allow lockdiscipline EnableMetrics only flips the obs layer's atomic flag; taking s.mu would stall behind long updates for nothing
 	s.st.EnableMetrics(on)
-	if w := s.win.Load(); w != nil {
-		w.EnableTimers(on)
+	if v := s.windowView(); v != nil {
+		s.mu.Lock() // the ring's timer flags change with its slices
+		v.ring.EnableTimers(on)
+		s.mu.Unlock()
 	}
 }
 
@@ -160,8 +141,10 @@ func (s *Safe) EnableMetrics(on bool) {
 // counters are atomics, so no lock is taken: Stats never blocks behind
 // a long update.
 func (s *Safe) Stats() Stats {
-	if w := s.win.Load(); w != nil {
-		return w.Stats()
+	if v := s.windowView(); v != nil {
+		st := v.st.Stats()
+		st.Window = v.windowStats()
+		return st
 	}
 	//lint:allow lockdiscipline Stats reads only the obs layer's atomic counters; lock-freedom is the documented point of the method
 	return s.st.Stats()
@@ -175,14 +158,10 @@ func (s *Safe) Stats() Stats {
 func (s *Safe) Merge(o *SketchTree) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.win.Load(); w != nil {
-		return w.Absorb(o.e)
+	if v := s.windowView(); v != nil {
+		return s.noteUpdateLocked(v.ring.Absorb(o.e))
 	}
-	if err := s.st.Merge(o); err != nil {
-		return err
-	}
-	s.noteUpdateLocked()
-	return nil
+	return s.noteUpdateLocked(false, s.st.Merge(o))
 }
 
 // CountOrdered estimates COUNT_ord(Q).
@@ -250,8 +229,8 @@ func (s *Safe) CountOrderedSetWithError(qs []*Node) (Estimate, error) {
 // is enabled it diagnoses the published merged engine, lock-free (the
 // merge is frozen).
 func (s *Safe) HealthReport() HealthReport {
-	if w := s.win.Load(); w != nil {
-		return w.HealthReport()
+	if v := s.windowView(); v != nil {
+		return v.st.HealthReport()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -264,7 +243,7 @@ func (s *Safe) HealthReport() HealthReport {
 func (s *Safe) EnableAudit(k int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.win.Load() != nil {
+	if s.windowView() != nil {
 		return fmt.Errorf("sketchtree: audit and window serving are mutually exclusive")
 	}
 	return s.st.EnableAudit(k)
@@ -308,8 +287,8 @@ func (s *Safe) CountExtended(q *ExtQuery) (float64, bool, error) {
 // TreesProcessed returns the number of trees folded in (live inside
 // the window, while the window is enabled).
 func (s *Safe) TreesProcessed() int64 {
-	if w := s.win.Load(); w != nil {
-		return w.Trees()
+	if v := s.windowView(); v != nil {
+		return v.ring.Trees()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -319,8 +298,8 @@ func (s *Safe) TreesProcessed() int64 {
 // PatternsProcessed returns the one-dimensional stream length (live
 // inside the window, while the window is enabled).
 func (s *Safe) PatternsProcessed() int64 {
-	if w := s.win.Load(); w != nil {
-		return w.Patterns()
+	if v := s.windowView(); v != nil {
+		return v.ring.Patterns()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -331,8 +310,8 @@ func (s *Safe) PatternsProcessed() int64 {
 // engine's, while the window is enabled; each live slice adds roughly
 // the same again).
 func (s *Safe) MemoryBytes() Memory {
-	if w := s.win.Load(); w != nil {
-		return w.MemoryBytes()
+	if v := s.windowView(); v != nil {
+		return v.st.MemoryBytes()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -390,8 +369,8 @@ func (s *Safe) Config() Config {
 // lock-free — the windowed shard's half of the cluster pull protocol,
 // trailing the live ring by at most the rebuild cadence.
 func (s *Safe) MarshalBinary() ([]byte, error) {
-	if w := s.win.Load(); w != nil {
-		return w.MarshalBinary()
+	if v := s.windowView(); v != nil {
+		return v.st.MarshalBinary()
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,8 +1,8 @@
 // Package window implements sliding-window counting over the streaming
 // synopsis: a ring of chunked sub-synopses (one core.Engine per time
 // slice), advanced on document count or wall clock, expired by dropping
-// the oldest slice, and served by merging the live slices into one
-// published engine.
+// the oldest slice, and merged on demand into one engine over the live
+// slices (Build).
 //
 // The construction rides on the same linearity that makes cluster merge
 // exact: AMS sketches are linear projections, so the cell-wise integer
@@ -13,12 +13,13 @@
 // query path, snapshot-isolated serving, cluster pulls) applies to it
 // unchanged.
 //
-// Concurrency: one mutex serializes all mutators (Add, Remove, Absorb,
-// Advance, AdvanceDue, Refresh). Readers never take it — the ring is
-// published copy-on-write behind an atomic pointer, per-slice tree
-// counts are atomics, and the merged serving engine is an atomic
-// pointer to a frozen engine — so Status, Trees, Merged and query
-// serving are lock-free and never wait behind an in-flight ingest.
+// Concurrency: the ring takes no lock of its own. Its owner serializes
+// every mutator (Add, Remove, Absorb, Advance, AdvanceDue, Build,
+// EnableTimers) — the root package's Safe does so with its write lock,
+// which also publishes the built engine. Readers need nothing: the ring
+// is replaced copy-on-write behind an atomic pointer and per-slice tree
+// counts are atomics, so Status, Trees and Patterns are lock-free and
+// never wait behind an in-flight ingest.
 //
 // The clock is injected (New's clock parameter); the merge/rebuild
 // paths never read time.Now themselves, keeping the determinism
@@ -28,7 +29,6 @@ package window
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,12 +53,13 @@ type Policy struct {
 	// advances only on explicit Advance calls.
 	SliceDur time.Duration
 
-	// RefreshEveryTrees rebuilds the published merged engine after this
-	// many updates between advances (every advance rebuilds regardless,
-	// so expired documents leave the served state immediately). 0
-	// selects DefaultRefreshEveryTrees; negative disables update-driven
-	// rebuilds (advance/Refresh only). Served answers trail the live
-	// window by at most this many updates.
+	// RefreshEveryTrees is the publish cadence of the window's owner:
+	// the merged engine is rebuilt and published after this many
+	// updates between advances (every advance publishes regardless, so
+	// expired documents leave the served state immediately). 0 selects
+	// DefaultRefreshEveryTrees; negative disables update-driven
+	// publishes (advance and explicit refresh only). Served answers
+	// trail the live window by at most this many updates.
 	RefreshEveryTrees int
 }
 
@@ -75,19 +76,7 @@ type slice struct {
 	trees atomic.Int64
 }
 
-// Merged is one published merged-window state: a frozen engine over
-// exactly the live slices at build time, plus provenance. The engine is
-// never updated after publication, so any number of goroutines may
-// query it concurrently.
-type Merged struct {
-	Eng    *core.Engine
-	Trees  int64     // trees covered by the merged state
-	Slices int       // live slices merged in
-	Built  time.Time // injected-clock time of the rebuild
-	Gen    int64     // rebuild generation, monotonically increasing
-}
-
-// Windowed is the sliding-window engine. Construct with New; the zero
+// Windowed is the sliding-window ring. Construct with New; the zero
 // value is not valid.
 type Windowed struct {
 	pol      Policy
@@ -95,16 +84,10 @@ type Windowed struct {
 	template *core.Engine // empty donor: shared seeds, modulus, plan cache
 	met      *obs.Metrics // persistent serving metrics across rebuilds
 
-	mu           sync.Mutex // serializes all mutators
-	timers       bool       // stage-timer flag applied to new slices
-	sinceRebuild int        // updates since the last merged rebuild
-
-	ring   atomic.Pointer[[]*slice] // live slices, oldest first; last = current
-	merged atomic.Pointer[Merged]
+	ring atomic.Pointer[[]*slice] // live slices, oldest first; last = current
 
 	advances atomic.Int64
 	expires  atomic.Int64
-	rebuilds atomic.Int64
 }
 
 // New builds a sliding window over template's configuration. The
@@ -149,9 +132,6 @@ func New(template *core.Engine, pol Policy, clock func() time.Time) (*Windowed, 
 	if pol.SliceDur < 0 {
 		return nil, fmt.Errorf("window: Policy.SliceDur %v < 0", pol.SliceDur)
 	}
-	if pol.RefreshEveryTrees == 0 {
-		pol.RefreshEveryTrees = DefaultRefreshEveryTrees
-	}
 	if clock == nil {
 		clock = time.Now
 	}
@@ -160,26 +140,16 @@ func New(template *core.Engine, pol Policy, clock func() time.Time) (*Windowed, 
 		clock:    clock,
 		template: template,
 		met:      &obs.Metrics{},
-		timers:   template.Metrics().TimersOn(),
 	}
-	w.met.EnableTimers(w.timers)
-	first, err := w.newSliceLocked(clock())
+	w.met.EnableTimers(template.Metrics().TimersOn())
+	first, err := w.newSlice(clock())
 	if err != nil {
 		return nil, err
 	}
 	ring := []*slice{first}
 	w.ring.Store(&ring)
-	if err := w.rebuildLocked(); err != nil {
-		return nil, err
-	}
 	return w, nil
 }
-
-// Policy returns the normalized policy the window runs under.
-func (w *Windowed) Policy() Policy { return w.pol }
-
-// Config returns the engine configuration every slice shares.
-func (w *Windowed) Config() core.Config { return w.template.Config() }
 
 // Metrics returns the persistent serving metrics: the sink the merged
 // engine reports queries through, and where producers should attribute
@@ -189,155 +159,127 @@ func (w *Windowed) Metrics() *obs.Metrics { return w.met }
 // EnableTimers switches stage/latency timing on every slice, the
 // serving metrics, and slices created later.
 func (w *Windowed) EnableTimers(on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.timers = on
 	w.met.EnableTimers(on)
 	for _, sl := range *w.ring.Load() {
 		sl.eng.Metrics().EnableTimers(on)
 	}
 }
 
-// curLocked returns the current (newest) slice. Caller holds w.mu.
+// current returns the current (newest) slice.
 //
 //lint:hotpath
-func (w *Windowed) curLocked() *slice {
+func (w *Windowed) current() *slice {
 	r := *w.ring.Load()
 	return r[len(r)-1]
 }
 
-// newSliceLocked clones the empty template into a fresh slice engine
-// with its own metrics sink. Caller holds w.mu (or is New).
-func (w *Windowed) newSliceLocked(start time.Time) (*slice, error) {
+// newSlice clones the empty template into a fresh slice engine with its
+// own metrics sink, timed like the serving metrics.
+func (w *Windowed) newSlice(start time.Time) (*slice, error) {
 	eng, err := w.template.Clone()
 	if err != nil {
 		return nil, fmt.Errorf("window: new slice: %w", err)
 	}
 	m := &obs.Metrics{}
-	m.EnableTimers(w.timers)
+	m.EnableTimers(w.met.TimersOn())
 	eng.SetMetrics(m)
 	return &slice{eng: eng, start: start}, nil
 }
 
 // Add folds one tree into the current slice, advancing first if the
 // clock cadence is due and afterwards if the count cadence fills the
-// slice.
+// slice. advanced reports whether the ring moved, so the owner knows to
+// publish a fresh Build.
 //
 //lint:hotpath
-func (w *Windowed) Add(t *tree.Tree) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.advanceDueLocked(); err != nil {
-		return err
+func (w *Windowed) Add(t *tree.Tree) (advanced bool, err error) {
+	if advanced, err = w.AdvanceDue(); err != nil {
+		return advanced, err
 	}
-	cur := w.curLocked()
+	cur := w.current()
 	if err := cur.eng.AddTree(t); err != nil {
-		return err
+		return advanced, err
 	}
 	cur.trees.Add(1)
 	if w.pol.SliceTrees > 0 && cur.trees.Load() >= int64(w.pol.SliceTrees) {
-		return w.advanceAtLocked(w.clock()) //lint:allow hotpath slice rotation is the cadence boundary, amortized over SliceTrees updates
+		return true, w.advanceAt(w.clock()) //lint:allow hotpath slice rotation is the cadence boundary, amortized over SliceTrees updates
 	}
-	return w.noteUpdateLocked()
+	return advanced, nil
 }
 
 // Remove deletes one earlier occurrence of the tree from the current
-// slice (the AMS deletion property). Removals target the current slice
-// only: a document that has rotated into an older slice leaves the
-// window by expiry, not by deletion.
-func (w *Windowed) Remove(t *tree.Tree) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.advanceDueLocked(); err != nil {
-		return err
+// slice (the AMS deletion property), after any due clock advance.
+// Removals target the current slice only: a document that has rotated
+// into an older slice leaves the window by expiry, not by deletion.
+func (w *Windowed) Remove(t *tree.Tree) (advanced bool, err error) {
+	if advanced, err = w.AdvanceDue(); err != nil {
+		return advanced, err
 	}
-	cur := w.curLocked()
+	cur := w.current()
 	if err := cur.eng.RemoveTree(t); err != nil {
-		return err
+		return advanced, err
 	}
 	cur.trees.Add(-1)
-	return w.noteUpdateLocked()
+	return advanced, nil
 }
 
-// Absorb merges a foreign engine's synopsis into the current slice —
-// the fan-in half of parallel ingestion, windowed. The operand must
-// satisfy the usual merge preconditions (identical Config including
-// Seed, no top-k, no auditor) and is only read.
-func (w *Windowed) Absorb(o *core.Engine) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.advanceDueLocked(); err != nil {
-		return err
+// Absorb merges a foreign engine's synopsis into the current slice,
+// after any due clock advance — the fan-in half of parallel ingestion,
+// windowed. The operand must satisfy the usual merge preconditions
+// (identical Config including Seed, no top-k, no auditor) and is only
+// read.
+func (w *Windowed) Absorb(o *core.Engine) (advanced bool, err error) {
+	if advanced, err = w.AdvanceDue(); err != nil {
+		return advanced, err
 	}
-	cur := w.curLocked()
+	cur := w.current()
 	before := cur.eng.TreesProcessed()
 	if err := cur.eng.Merge(o); err != nil {
-		return err
+		return advanced, err
 	}
 	cur.trees.Add(cur.eng.TreesProcessed() - before)
-	return w.noteUpdateLocked()
+	return advanced, nil
 }
 
 // Advance seals the current slice and starts a fresh one now,
-// expiring the oldest slice when the ring is full. The merged serving
-// state is rebuilt before returning.
-func (w *Windowed) Advance() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.advanceAtLocked(w.clock())
-}
+// expiring the oldest slice when the ring is full.
+func (w *Windowed) Advance() error { return w.advanceAt(w.clock()) }
 
-// AdvanceDue advances every slice the clock cadence has made due — the
-// entry point for the background ticker that keeps an idle stream's
-// window expiring. A no-op without a clock cadence.
-func (w *Windowed) AdvanceDue() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.advanceDueLocked()
-}
-
-// Refresh rebuilds the published merged engine from the live slices
-// immediately, regardless of the rebuild cadence.
-func (w *Windowed) Refresh() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rebuildLocked()
-}
-
-// advanceDueLocked advances once per elapsed SliceDur, with slice
-// starts aligned to the cadence grid so a busy advance never drifts.
-// After a long idle gap every live slice has expired: rather than
+// AdvanceDue advances once per elapsed SliceDur, with slice starts
+// aligned to the cadence grid so a busy advance never drifts — the
+// step every mutator takes first, and the background ticker's whole
+// job. After a long idle gap every live slice has expired: rather than
 // rotating the ring Slices more times, the window resets to a single
-// fresh slice. Caller holds w.mu.
+// fresh slice. A no-op without a clock cadence.
 //
 //lint:hotpath
-func (w *Windowed) advanceDueLocked() error {
+func (w *Windowed) AdvanceDue() (advanced bool, err error) {
 	if w.pol.SliceDur <= 0 {
-		return nil
+		return false, nil
 	}
 	now := w.clock()
 	for n := 0; ; n++ {
-		cur := w.curLocked()
+		cur := w.current()
 		if now.Sub(cur.start) < w.pol.SliceDur {
-			return nil
+			return n > 0, nil
 		}
 		if n >= w.pol.Slices {
 			//lint:allow hotpath full reset after an idle gap longer than the window, not the per-update path
-			return w.resetLocked(now)
+			return true, w.reset(now)
 		}
 		//lint:allow hotpath clock-cadence rotation, amortized over a slice's lifetime
-		if err := w.advanceAtLocked(cur.start.Add(w.pol.SliceDur)); err != nil {
-			return err
+		if err := w.advanceAt(cur.start.Add(w.pol.SliceDur)); err != nil {
+			return true, err
 		}
 	}
 }
 
-// advanceAtLocked seals the current slice and appends a fresh one
-// starting at start, dropping the oldest slice when the ring is at
-// capacity. The ring is replaced copy-on-write so lock-free Status
-// readers always see a consistent slice list. Caller holds w.mu.
-func (w *Windowed) advanceAtLocked(start time.Time) error {
-	fresh, err := w.newSliceLocked(start)
+// advanceAt seals the current slice and appends a fresh one starting
+// at start, dropping the oldest slice when the ring is at capacity.
+// The ring is replaced copy-on-write so lock-free Status readers always
+// see a consistent slice list.
+func (w *Windowed) advanceAt(start time.Time) error {
+	fresh, err := w.newSlice(start)
 	if err != nil {
 		return err
 	}
@@ -353,14 +295,13 @@ func (w *Windowed) advanceAtLocked(start time.Time) error {
 	next = append(next, fresh)
 	w.ring.Store(&next)
 	w.advances.Add(1)
-	return w.rebuildLocked()
+	return nil
 }
 
-// resetLocked replaces the whole ring with one fresh slice — the idle
-// catch-up path where every live slice has already expired. Caller
-// holds w.mu.
-func (w *Windowed) resetLocked(start time.Time) error {
-	fresh, err := w.newSliceLocked(start)
+// reset replaces the whole ring with one fresh slice — the idle
+// catch-up path where every live slice has already expired.
+func (w *Windowed) reset(start time.Time) error {
+	fresh, err := w.newSlice(start)
 	if err != nil {
 		return err
 	}
@@ -369,72 +310,38 @@ func (w *Windowed) resetLocked(start time.Time) error {
 	w.ring.Store(&ring)
 	w.advances.Add(1)
 	w.expires.Add(int64(len(old)))
-	return w.rebuildLocked()
+	return nil
 }
 
-// noteUpdateLocked ticks the update counter and rebuilds the merged
-// serving state when the refresh cadence is reached. Caller holds w.mu.
-//
-//lint:hotpath
-func (w *Windowed) noteUpdateLocked() error {
-	if w.pol.RefreshEveryTrees < 0 {
-		return nil
-	}
-	w.sinceRebuild++
-	if w.sinceRebuild < w.pol.RefreshEveryTrees {
-		return nil
-	}
-	//lint:allow hotpath merged-state rebuild at the refresh cadence, amortized
-	return w.rebuildLocked()
-}
-
-// rebuildLocked merges the live slices into a fresh engine and
-// publishes it. The engine starts as a clone of the empty template (so
-// it shares the seeds, modulus and plan cache) with a scratch metrics
-// sink — Merge absorbs each operand's metrics into the receiver's, and
-// that absorption must not touch the slices' own counters or the
-// persistent serving sink. After the merge the persistent sink is
-// re-seeded with the merged totals and swapped in, so query accounting
-// survives across rebuilds. Caller holds w.mu.
+// Build merges the live slices into a fresh engine and reports how
+// many slices it covers. The engine starts as a clone of the empty
+// template (so it shares the seeds, modulus and plan cache) with a
+// scratch metrics sink — Merge absorbs each operand's metrics into the
+// receiver's, and that absorption must not touch the slices' own
+// counters or the persistent serving sink. After the merge the
+// persistent sink is re-seeded with the merged totals and swapped in,
+// so query accounting survives from one build to the next.
 //
 // Because the slices' stream counters are integers and the merge is a
-// cell-wise sum, the published engine is bit-identical — bytes and
-// estimates — to a fresh engine fed the live documents in order.
-func (w *Windowed) rebuildLocked() error {
-	start := w.met.Now()
+// cell-wise sum, the built engine is bit-identical — bytes and
+// estimates — to a fresh engine fed the live documents in order. The
+// caller must not mutate it: it is meant to be published frozen.
+func (w *Windowed) Build() (*core.Engine, int, error) {
 	m, err := w.template.Clone()
 	if err != nil {
-		return fmt.Errorf("window: rebuild: %w", err)
+		return nil, 0, fmt.Errorf("window: build: %w", err)
 	}
 	m.SetMetrics(nil)
 	r := *w.ring.Load()
 	for _, sl := range r {
 		if err := m.Merge(sl.eng); err != nil {
-			return fmt.Errorf("window: rebuild: %w", err)
+			return nil, 0, fmt.Errorf("window: build: %w", err)
 		}
 	}
 	w.met.SeedCounts(m.TreesProcessed(), m.PatternsProcessed())
 	m.SetMetrics(w.met)
-	gen := int64(1)
-	if prev := w.merged.Load(); prev != nil {
-		gen = prev.Gen + 1
-	}
-	w.merged.Store(&Merged{
-		Eng:    m,
-		Trees:  m.TreesProcessed(),
-		Slices: len(r),
-		Built:  w.clock(),
-		Gen:    gen,
-	})
-	w.sinceRebuild = 0
-	w.rebuilds.Add(1)
-	w.met.StageSince(obs.StagePublish, start)
-	return nil
+	return m, len(r), nil
 }
-
-// Merged returns the published merged-window state. Lock-free; never
-// nil after New succeeds.
-func (w *Windowed) Merged() *Merged { return w.merged.Load() }
 
 // Trees returns the number of trees currently live in the window
 // (net of removals), summed across slices. Lock-free.
@@ -456,10 +363,11 @@ func (w *Windowed) Patterns() int64 {
 	return n
 }
 
-// Status collects the window section of the observability snapshot:
-// per-slice occupancy and age, merged provenance, and the
-// advance/expire/rebuild counters. Lock-free — safe to call while
-// ingest runs.
+// Status collects the ring's part of the window section of the
+// observability snapshot: policy, per-slice occupancy and age, and the
+// advance/expire counters. The merged-state provenance and the rebuild
+// count belong to whoever publishes Build results and are left zero.
+// Lock-free — safe to call while ingest runs.
 func (w *Windowed) Status() *obs.WindowSnapshot {
 	now := w.clock()
 	r := *w.ring.Load()
@@ -469,7 +377,6 @@ func (w *Windowed) Status() *obs.WindowSnapshot {
 		SliceDurMS: w.pol.SliceDur.Milliseconds(),
 		Advances:   w.advances.Load(),
 		Expires:    w.expires.Load(),
-		Rebuilds:   w.rebuilds.Load(),
 	}
 	for i, sl := range r {
 		t := sl.trees.Load()
@@ -481,53 +388,5 @@ func (w *Windowed) Status() *obs.WindowSnapshot {
 			Current:  i == len(r)-1,
 		})
 	}
-	if m := w.merged.Load(); m != nil {
-		ws.MergedTrees = m.Trees
-		ws.MergedSlices = m.Slices
-		ws.MergedAgeMS = now.Sub(m.Built).Milliseconds()
-	}
 	return ws
-}
-
-// Stats reads the serving observability snapshot — the merged engine's
-// counters (queries, stages, health, plan cache) with the window
-// section attached. Lock-free.
-func (w *Windowed) Stats() obs.Snapshot {
-	var s obs.Snapshot
-	if m := w.merged.Load(); m != nil {
-		s = m.Eng.Stats()
-	}
-	s.Window = w.Status()
-	return s
-}
-
-// MarshalBinary serializes the published merged window — the windowed
-// shard's half of the cluster pull protocol, and a checkpoint of the
-// live window trailing it by at most the rebuild cadence.
-func (w *Windowed) MarshalBinary() ([]byte, error) {
-	m := w.merged.Load()
-	if m == nil {
-		return nil, fmt.Errorf("window: no merged state published")
-	}
-	return m.Eng.MarshalBinary()
-}
-
-// HealthReport diagnoses the published merged window (the frozen
-// engine, so no locking is needed).
-func (w *Windowed) HealthReport() core.HealthReport {
-	m := w.merged.Load()
-	if m == nil {
-		return core.HealthReport{}
-	}
-	return m.Eng.HealthReport()
-}
-
-// MemoryBytes reports the published merged engine's footprint (each
-// live slice adds roughly the same again).
-func (w *Windowed) MemoryBytes() core.Memory {
-	m := w.merged.Load()
-	if m == nil {
-		return core.Memory{}
-	}
-	return m.Eng.MemoryBytes()
 }

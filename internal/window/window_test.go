@@ -99,17 +99,33 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// mustBuild merges the live slices, failing the test on error.
+func mustBuild(t testing.TB, w *Windowed) (*core.Engine, int) {
+	t.Helper()
+	m, slices, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, slices
+}
+
+// mustBytes serializes an engine, failing the test on error.
+func mustBytes(t testing.TB, e *core.Engine) []byte {
+	t.Helper()
+	b, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // The headline property at unit scope: after count-cadence advances
-// and expiries, the merged window is bit-identical — synopsis bytes
+// and expiries, the built window is bit-identical — synopsis bytes
 // and float64 estimates — to a fresh engine fed only the live-slice
 // documents.
 func TestMergedBitIdenticalToFresh(t *testing.T) {
 	cfg := windowConfig()
-	w, err := New(mustTemplate(t, cfg), Policy{
-		Slices:            3,
-		SliceTrees:        4,
-		RefreshEveryTrees: -1, // rebuilds only on advance; Refresh below
-	}, nil)
+	w, err := New(mustTemplate(t, cfg), Policy{Slices: 3, SliceTrees: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +136,15 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 	live := [][]int{{}}
 	const total = 23
 	for i := 0; i < total; i++ {
-		if err := w.Add(doc(i)); err != nil {
+		advanced, err := w.Add(doc(i))
+		if err != nil {
 			t.Fatal(err)
 		}
 		cur := &live[len(live)-1]
 		*cur = append(*cur, i)
+		if advanced != (len(*cur) == 4) {
+			t.Fatalf("doc %d: advanced = %v with %d docs in the slice", i, advanced, len(*cur))
+		}
 		if len(*cur) == 4 {
 			live = append(live, []int{})
 			if len(live) > 3 {
@@ -132,10 +152,6 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 			}
 		}
 	}
-	if err := w.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-
 	fresh := mustTemplate(t, cfg)
 	var wantTrees int64
 	for _, sl := range live {
@@ -147,25 +163,18 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 		}
 	}
 
-	m := w.Merged()
-	if m == nil {
-		t.Fatal("no merged state published")
+	m, slices := mustBuild(t, w)
+	if slices != len(live) {
+		t.Fatalf("build merged %d slices, ring holds %d", slices, len(live))
 	}
-	if m.Trees != wantTrees {
-		t.Fatalf("merged covers %d trees, live slices hold %d", m.Trees, wantTrees)
+	if got := m.TreesProcessed(); got != wantTrees {
+		t.Fatalf("merged covers %d trees, live slices hold %d", got, wantTrees)
 	}
 	if got := w.Trees(); got != wantTrees {
 		t.Fatalf("Trees() = %d, want %d", got, wantTrees)
 	}
 
-	gotBytes, err := w.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := fresh.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotBytes, wantBytes := mustBytes(t, m), mustBytes(t, fresh)
 	if !bytes.Equal(gotBytes, wantBytes) {
 		t.Errorf("merged synopsis bytes differ from fresh engine (%d vs %d bytes)", len(gotBytes), len(wantBytes))
 	}
@@ -179,7 +188,7 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Eng.EstimateOrdered(q)
+		got, err := m.EstimateOrdered(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +204,7 @@ func TestCountCadenceAdvanceAndExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ { // 3 full slices: 2 advances keep the ring, 1 expires
-		if err := w.Add(doc(i)); err != nil {
+		if _, err := w.Add(doc(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,15 +237,15 @@ func TestClockCadenceAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := w.Add(doc(i)); err != nil {
-			t.Fatal(err)
+		if advanced, err := w.Add(doc(i)); err != nil || advanced {
+			t.Fatalf("add %d: advanced = %v, err = %v; want no advance", i, advanced, err)
 		}
 	}
 	// One slice duration elapses: the next mutator advances first, so
 	// the 4 docs seal into the previous slice.
 	clk.Tick(time.Minute)
-	if err := w.Add(doc(4)); err != nil {
-		t.Fatal(err)
+	if advanced, err := w.Add(doc(4)); err != nil || !advanced {
+		t.Fatalf("add after a slice duration: advanced = %v, err = %v; want an advance", advanced, err)
 	}
 	ws := w.Status()
 	if ws.Advances != 1 {
@@ -248,9 +257,12 @@ func TestClockCadenceAdvance(t *testing.T) {
 
 	// Two more durations elapse with no traffic: AdvanceDue (the ticker
 	// path) must expire slices on its own.
+	if advanced, err := w.AdvanceDue(); err != nil || advanced {
+		t.Fatalf("AdvanceDue before the next boundary: advanced = %v, err = %v", advanced, err)
+	}
 	clk.Tick(2 * time.Minute)
-	if err := w.AdvanceDue(); err != nil {
-		t.Fatal(err)
+	if advanced, err := w.AdvanceDue(); err != nil || !advanced {
+		t.Fatalf("AdvanceDue after two durations: advanced = %v, err = %v", advanced, err)
 	}
 	ws = w.Status()
 	if ws.Advances != 3 {
@@ -268,15 +280,15 @@ func TestClockCadenceAdvance(t *testing.T) {
 	// A long idle gap (every live slice expired) resets to one fresh
 	// empty slice instead of rotating Slices more times.
 	clk.Tick(time.Hour)
-	if err := w.AdvanceDue(); err != nil {
-		t.Fatal(err)
+	if advanced, err := w.AdvanceDue(); err != nil || !advanced {
+		t.Fatalf("AdvanceDue after an idle hour: advanced = %v, err = %v", advanced, err)
 	}
 	ws = w.Status()
 	if len(ws.Live) != 1 || ws.LiveTrees != 0 {
 		t.Fatalf("idle catch-up must reset to one empty slice, got %+v", ws.Live)
 	}
-	if w.Merged().Trees != 0 {
-		t.Errorf("merged after full expiry covers %d trees, want 0", w.Merged().Trees)
+	if m, _ := mustBuild(t, w); m.TreesProcessed() != 0 {
+		t.Errorf("merged after full expiry covers %d trees, want 0", m.TreesProcessed())
 	}
 }
 
@@ -285,16 +297,12 @@ func TestRemoveTargetsCurrentSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(doc(0)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := w.Add(doc(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := w.Add(doc(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Remove(doc(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Refresh(); err != nil {
+	if _, err := w.Remove(doc(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Trees(); got != 1 {
@@ -305,9 +313,8 @@ func TestRemoveTargetsCurrentSlice(t *testing.T) {
 	if err := fresh.AddTree(doc(0)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := w.MarshalBinary()
-	want, _ := fresh.MarshalBinary()
-	if !bytes.Equal(got, want) {
+	m, _ := mustBuild(t, w)
+	if !bytes.Equal(mustBytes(t, m), mustBytes(t, fresh)) {
 		t.Error("add+remove in one slice must be bit-identical to never adding")
 	}
 }
@@ -324,99 +331,14 @@ func TestAbsorbMergesIntoCurrentSlice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Absorb(side); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Refresh(); err != nil {
+	if _, err := w.Absorb(side); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Trees(); got != 4 {
 		t.Errorf("live trees after absorb = %d, want 4", got)
 	}
-	got, _ := w.MarshalBinary()
-	want, _ := side.MarshalBinary()
-	if !bytes.Equal(got, want) {
+	m, _ := mustBuild(t, w)
+	if !bytes.Equal(mustBytes(t, m), mustBytes(t, side)) {
 		t.Error("absorbed window must be bit-identical to the absorbed engine")
-	}
-}
-
-func TestRebuildGenerationAndCadence(t *testing.T) {
-	w, err := New(mustTemplate(t, windowConfig()), Policy{
-		Slices:            2,
-		SliceTrees:        100,
-		RefreshEveryTrees: 2,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g0 := w.Merged().Gen
-	if err := w.Add(doc(0)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Merged().Gen != g0 {
-		t.Error("one update below the cadence must not rebuild")
-	}
-	if err := w.Add(doc(1)); err != nil {
-		t.Fatal(err)
-	}
-	if w.Merged().Gen != g0+1 {
-		t.Errorf("gen after cadence hit = %d, want %d", w.Merged().Gen, g0+1)
-	}
-	if w.Merged().Trees != 2 {
-		t.Errorf("merged trees = %d, want 2", w.Merged().Trees)
-	}
-
-	// The merged engine reports queries through one persistent sink
-	// across rebuilds.
-	met := w.Metrics()
-	if _, err := w.Merged().Eng.EstimateOrdered(tree.T("a", tree.T("b"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Merged().Eng.EstimateOrdered(tree.T("a", tree.T("b"))); err != nil {
-		t.Fatal(err)
-	}
-	if got := met.Snapshot().Queries.Count; got != 2 {
-		t.Errorf("persistent query counter = %d, want 2 (must survive rebuilds)", got)
-	}
-	if got := w.Stats().Queries.Count; got != 2 {
-		t.Errorf("Stats().Queries.Count = %d, want 2", got)
-	}
-}
-
-func TestStatsCarriesWindowSection(t *testing.T) {
-	w, err := New(mustTemplate(t, windowConfig()), Policy{Slices: 4, SliceTrees: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := w.Add(doc(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := w.Stats()
-	if s.Window == nil {
-		t.Fatal("Stats().Window is nil")
-	}
-	if s.Window.Slices != 4 || s.Window.SliceTrees != 2 {
-		t.Errorf("window policy not reflected: %+v", s.Window)
-	}
-	if s.Window.LiveTrees != 5 {
-		t.Errorf("live trees = %d, want 5", s.Window.LiveTrees)
-	}
-	var sum int64
-	for _, sl := range s.Window.Live {
-		if sl.Trees < 0 {
-			t.Errorf("negative slice count: %+v", sl)
-		}
-		sum += sl.Trees
-	}
-	if sum != s.Window.LiveTrees {
-		t.Errorf("LiveTrees %d != Σ slices %d", s.Window.LiveTrees, sum)
-	}
-	if s.Window.Rebuilds < 1 {
-		t.Error("no rebuilds recorded")
 	}
 }
