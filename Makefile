@@ -74,9 +74,9 @@ bench-baseline: bench-matrix
 	cp BENCH_matrix.json testdata/bench/BENCH_baseline.json
 	@echo "refreshed testdata/bench/BENCH_baseline.json"
 
-# One iteration of the headline benchmarks plus one cell per matrix
-# axis: proves the bench harness still compiles and runs, without the
-# minutes-long paper-scale sweeps. (The matrix cells are separate
+# One iteration of the headline benchmarks, one cell per matrix axis,
+# and the top-k rung of the update kernel: proves the bench harness
+# still compiles and runs, without the minutes-long paper-scale sweeps. (The matrix cells are separate
 # invocations because go test splits -bench patterns on every slash,
 # so per-cell selectors cannot be |-combined.)
 bench-smoke:
@@ -85,6 +85,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixQuery/pattern=2/cache=hit' -benchtime 1x . >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixMerge/vstreams=1' -benchtime 1x . >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixWindow/slices=4/every=8' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkAddTreeTopK' -benchtime 1x . >/dev/null
 
 # The cluster-mode end-to-end tests under the race detector: three
 # shard daemons plus a coordinator started through the real CLI entry

@@ -11,6 +11,7 @@ package sketchtree
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -472,6 +473,53 @@ func BenchmarkStreamUpdateThroughput(b *testing.B) {
 	b.StopTimer()
 	if e.TreesProcessed() > 0 {
 		b.ReportMetric(float64(e.PatternsProcessed())/float64(e.TreesProcessed()), "patterns/tree")
+	}
+}
+
+// The top-k stage of the update kernel: AddTree over DBLP-style records
+// at the daemon defaults (k=4, p=229, s1=25, s2=7) with top-k off and
+// at 50 per virtual stream; the gap between the two rungs is the cost
+// of Algorithm 4. Each engine is warmed on 2048 trees first, so the
+// timed trees meet full trackers with steady-state admissions and
+// evictions, and later runs continue the same stream.
+func BenchmarkAddTreeTopK(b *testing.B) {
+	src := datagen.DBLP(1, 1<<20)
+	warm := make([]*tree.Tree, 2048)
+	for i := range warm {
+		warm[i], _ = src.Next()
+	}
+	timed := make([]*tree.Tree, 4096)
+	for i := range timed {
+		timed[i], _ = src.Next()
+	}
+	for _, k := range []int{0, 50} {
+		cfg := core.DefaultConfig()
+		cfg.TopK = k
+		e, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range warm {
+			if err := e.AddTree(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+		next := 0
+		b.Run(fmt.Sprintf("topk=%d", k), func(b *testing.B) {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.AddTree(timed[next%len(timed)]); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tree")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/tree")
+		})
 	}
 }
 

@@ -338,16 +338,17 @@ func medianInPlace(xs []float64) float64 {
 }
 
 // Estimator is reusable scratch for repeated count estimation over
-// sketches sharing one Seeds: the ξ preparation, the per-cell parity
-// bits, and the row means live in the Estimator, so steady-state
+// sketches sharing one Seeds: the ξ preparation, the per-cell sign
+// masks, and the row sums live in the Estimator, so steady-state
 // estimation allocates nothing. Results are bit-identical to
 // EstimateCount. An Estimator is not safe for concurrent use; pool
 // one per goroutine.
 type Estimator struct {
 	seeds *Seeds
 	prep  *xi.Prep
-	bits  []uint8
-	rows  []float64
+	masks []int64
+	sums  []int64
+	means []float64
 }
 
 // NewEstimator returns an estimator over the seeds.
@@ -355,45 +356,91 @@ func (se *Seeds) NewEstimator() *Estimator {
 	return &Estimator{
 		seeds: se,
 		prep:  &xi.Prep{},
-		bits:  make([]uint8, se.Cells()),
-		rows:  make([]float64, se.s2),
+		masks: make([]int64, se.Cells()),
+		sums:  make([]int64, se.s2),
+		means: make([]float64, se.s2),
 	}
 }
 
-// Count estimates the frequency of value v from the sketch, exactly as
-// Sketch.EstimateCount but through the estimator's scratch.
+// Count estimates the frequency of value v from the sketch, as
+// EstimateCount(v, d) with d[c] = ξ_v(c)·shift: shift is the number of
+// v's instances top-k processing deleted from the sketch (0 when v is
+// not tracked). Since ξ² = 1, adding them back raises every row sum of
+// ξ_v·X by exactly s1·shift, so the compensation is one integer add
+// per row instead of a per-cell vector.
 //
 //lint:hotpath
-func (es *Estimator) Count(s *Sketch, v uint64, adjust []int64) float64 {
-	es.seeds.Prepare(v, es.prep)
-	return es.CountPrepared(s, es.prep, adjust)
-}
-
-// CountPrepared is Count for an already-prepared value — the top-k
-// processing path estimates the very value whose preparation it was
-// handed, so re-deriving it would double the GF(2^m) work.
-//
-//lint:hotpath
-func (es *Estimator) CountPrepared(s *Sketch, p *xi.Prep, adjust []int64) float64 {
+func (es *Estimator) Count(s *Sketch, v uint64, shift int64) float64 {
 	se := es.seeds
-	se.batch.BitsInto(p, es.bits)
-	for i := 0; i < se.s2; i++ {
-		sum := 0.0
-		base := i * se.s1
-		for j := 0; j < se.s1; j++ {
-			c := base + j
-			x := s.x[c]
-			if adjust != nil {
-				x += adjust[c]
-			}
-			if es.bits[c] != 0 {
-				x = -x
-			}
-			sum += float64(x)
-		}
-		es.rows[i] = sum / float64(se.s1)
+	se.Prepare(v, es.prep)
+	se.batch.RowsInto(es.prep, s.x, es.masks, es.sums)
+	return shiftedMedian(es.sums, se.s1, shift, es.means)
+}
+
+// shiftedMedian is the median over rows of (sums[i] + s1·shift)/s1,
+// using means as scratch. It equals the median of means that
+// EstimateCount computes by summing float64(ξ·x) cell by cell: those
+// partial sums are integers of magnitude far below 2^53, so the float
+// sum is exact and the same integer reaches the division.
+//
+//lint:hotpath
+func shiftedMedian(sums []int64, s1 int, shift int64, means []float64) float64 {
+	means = means[:len(sums)]
+	for i, sum := range sums {
+		means[i] = float64(sum+int64(s1)*shift) / float64(s1)
 	}
-	return medianInPlace(es.rows)
+	return medianInPlace(means)
+}
+
+// Pass carries what one fused arrival (Sketch.UpdatePass) learned
+// about its value: each cell's ξ sign mask and each row's sum of ξ·X
+// over the updated counters. Top-k processing of that arrival then
+// estimates the value (Estimate) and writes its net change back
+// (Sketch.AddPass) without evaluating ξ again. A Pass is scratch of
+// the single updating goroutine.
+type Pass struct {
+	s1    int
+	masks []int64
+	sums  []int64
+	means []float64
+}
+
+// NewPass returns a pass over the seeds.
+func (se *Seeds) NewPass() *Pass {
+	return &Pass{
+		s1:    se.s1,
+		masks: make([]int64, se.Cells()),
+		sums:  make([]int64, se.s2),
+		means: make([]float64, se.s2),
+	}
+}
+
+// UpdatePass is UpdatePrepared that also records the pass of the value
+// in ps, which must come from NewPass on these seeds: one evaluation of
+// ξ per cell serves the update, the estimate and any later write of the
+// same value.
+//
+//lint:hotpath
+func (s *Sketch) UpdatePass(p *xi.Prep, delta int64, ps *Pass) {
+	s.seeds.batch.AddIntoRows(p, delta, s.x, ps.masks, ps.sums)
+}
+
+// AddPass adds delta instances of the value ps was recorded for. The
+// pass must come from an UpdatePass on this sketch.
+//
+//lint:hotpath
+func (s *Sketch) AddPass(ps *Pass, delta int64) {
+	xi.AddMasked(ps.masks, delta, s.x)
+}
+
+// Estimate is the count estimate of the pass's value after shift of
+// its instances are added back into the sketch: EstimateCount with
+// the adjustment ξ·shift, read off the recorded row sums. Later
+// AddPass calls do not move it.
+//
+//lint:hotpath
+func (ps *Pass) Estimate(shift int64) float64 {
+	return shiftedMedian(ps.sums, ps.s1, shift, ps.means)
 }
 
 // EstimateCount estimates the frequency of value v: median over rows

@@ -470,37 +470,89 @@ func BenchmarkEstimateF2(b *testing.B) {
 	}
 }
 
-// Estimator must be a pure reorganization of EstimateCount: same
-// median-of-means, same float arithmetic, zero allocations in steady
-// state.
+// Estimator must be a pure reorganization of EstimateCount: the shift
+// of a tracked value's row sums equals the per-cell adjustment
+// ξ_v·shift, with the same float results, for both ξ families.
 func TestEstimatorMatchesEstimateCount(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 34))
-	fam := xi.NewBCHFamily(gf2.MustField(gf2.DefaultModulus(63)))
-	seeds, err := NewSeeds(fam, 25, 7, rng)
+	field := gf2.MustField(gf2.DefaultModulus(63))
+	poly, err := xi.NewPolyFamily(field, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := seeds.NewSketch()
-	vals := make([]uint64, 200)
-	for i := range vals {
-		vals[i] = rng.Uint64()
-		sk.Update(vals[i], int64(rng.IntN(9)+1))
-	}
-	adjust := make([]int64, seeds.Cells())
-	for c := range adjust {
-		adjust[c] = int64(rng.IntN(5) - 2)
-	}
-	es := seeds.NewEstimator()
-	p := &xi.Prep{}
-	for _, v := range vals[:50] {
-		for _, adj := range [][]int64{nil, adjust} {
-			want := sk.EstimateCount(v, adj)
-			if got := es.Count(sk, v, adj); got != want {
-				t.Fatalf("Count(%#x) = %v, EstimateCount %v", v, got, want)
+	for _, fam := range []*xi.Family{xi.NewBCHFamily(field), poly} {
+		seeds, err := NewSeeds(fam, 25, 7, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk := seeds.NewSketch()
+		vals := make([]uint64, 200)
+		for i := range vals {
+			vals[i] = rng.Uint64()
+			sk.Update(vals[i], int64(rng.IntN(9)+1))
+		}
+		es := seeds.NewEstimator()
+		for _, v := range vals[:50] {
+			for _, shift := range []int64{0, int64(rng.IntN(40) + 1)} {
+				want := sk.EstimateCount(v, shiftAdjust(seeds, v, shift))
+				if got := es.Count(sk, v, shift); got != want {
+					t.Fatalf("kind %v: Count(%#x, %d) = %v, EstimateCount %v", fam.Kind(), v, shift, got, want)
+				}
 			}
-			fam.Prepare(v, p)
-			if got := es.CountPrepared(sk, p, adj); got != want {
-				t.Fatalf("CountPrepared(%#x) = %v, EstimateCount %v", v, got, want)
+		}
+	}
+}
+
+// shiftAdjust is the per-cell adjustment ξ_v(c)·shift that adds shift
+// instances of v back for estimation, or nil for shift 0.
+func shiftAdjust(seeds *Seeds, v uint64, shift int64) []int64 {
+	if shift == 0 {
+		return nil
+	}
+	p := seeds.Prepare(v, nil)
+	adj := make([]int64, seeds.Cells())
+	for c := range adj {
+		adj[c] = int64(seeds.Xi(c, p)) * shift
+	}
+	return adj
+}
+
+// The fused arrival must leave the counters UpdatePrepared leaves, and
+// its recorded pass must answer and write like the step-by-step
+// operations it replaces: Estimate(f) as EstimateCount after adding f
+// instances back, AddPass as a fresh UpdatePrepared.
+func TestPassMatchesStepwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 13))
+	field := gf2.MustField(gf2.DefaultModulus(63))
+	poly, err := xi.NewPolyFamily(field, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []*xi.Family{xi.NewBCHFamily(field), poly} {
+		seeds, err := NewSeeds(fam, 25, 7, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, plain := seeds.NewSketch(), seeds.NewSketch()
+		ps := seeds.NewPass()
+		p := &xi.Prep{}
+		for i := 0; i < 300; i++ {
+			v := uint64(rng.IntN(40))
+			delta := int64(rng.IntN(5) + 1)
+			seeds.Prepare(v, p)
+			fused.UpdatePass(p, delta, ps)
+			plain.UpdatePrepared(p, delta)
+			f := int64(rng.IntN(30))
+			if got, want := ps.Estimate(f), plain.EstimateCount(v, shiftAdjust(seeds, v, f)); got != want {
+				t.Fatalf("kind %v step %d: Estimate(%d) = %v, want %v", fam.Kind(), i, f, got, want)
+			}
+			back := int64(rng.IntN(7) - 3)
+			fused.AddPass(ps, back)
+			plain.UpdatePrepared(p, back)
+			for c := 0; c < seeds.Cells(); c++ {
+				if fused.Counter(c) != plain.Counter(c) {
+					t.Fatalf("kind %v step %d cell %d: fused %d, plain %d", fam.Kind(), i, c, fused.Counter(c), plain.Counter(c))
+				}
 			}
 		}
 	}
@@ -516,8 +568,8 @@ func TestEstimatorZeroAlloc(t *testing.T) {
 	sk := seeds.NewSketch()
 	sk.Update(42, 3)
 	es := seeds.NewEstimator()
-	es.Count(sk, 42, nil) // warm the Prep
-	if n := testing.AllocsPerRun(100, func() { es.Count(sk, 42, nil) }); n != 0 {
+	es.Count(sk, 42, 0) // warm the Prep
+	if n := testing.AllocsPerRun(100, func() { es.Count(sk, 42, 5) }); n != 0 {
 		t.Errorf("Estimator.Count allocates %v per run, want 0", n)
 	}
 }

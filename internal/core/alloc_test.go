@@ -56,30 +56,56 @@ func TestAddTreeZeroAlloc(t *testing.T) {
 // TestEstimateOrderedCacheHitZeroAlloc pins the query-side contract: a
 // plan-cache hit answers an ordered count with zero allocations (the
 // key is built in a pooled buffer, probed by byte slice, and the
-// estimator scratch comes from a pool). Top-k is disabled — a tracked
-// query value legitimately allocates its compensation vector.
+// estimator scratch comes from a pool). With top-k on, the query value
+// is tracked, so its deleted instances are compensated — as a shift of
+// the row sums, with no per-cell vector — and the answer must equal
+// the error-bar path's, which still builds the vector.
 func TestEstimateOrderedCacheHitZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops entries at random, so pooled Get may allocate")
 	}
-	cfg := testConfig()
-	cfg.TrackExact = false
-	e := mustEngine(t, cfg)
-	for i := 0; i < 3; i++ {
-		if err := e.AddTree(allocTree()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := tree.T("A", tree.T("B", tree.T("C")))
-	if _, err := e.EstimateOrdered(q); err != nil { // prime the plan cache
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.EstimateOrdered(q); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cache-hit EstimateOrdered allocates %.1f times per query, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		topk int
+	}{
+		{"TopKDisabled", 0},
+		{"TopKTracked", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.TrackExact = false
+			cfg.TopK = tc.topk
+			e := mustEngine(t, cfg)
+			for i := 0; i < 3; i++ {
+				if err := e.AddTree(allocTree()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := tree.T("A", tree.T("B", tree.T("C")))
+			got, err := e.EstimateOrdered(q) // primes the plan cache
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.topk > 0 {
+				if f := e.trackedFreq(e.orderedValue(q)); f == 0 {
+					t.Fatal("query value is not tracked; the case would not exercise compensation")
+				}
+				want, err := e.EstimateOrderedWithError(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want.Value {
+					t.Fatalf("shift-compensated estimate %v, vector-compensated %v", got, want.Value)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := e.EstimateOrdered(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("cache-hit EstimateOrdered allocates %.1f times per query, want 0", allocs)
+			}
+		})
 	}
 }

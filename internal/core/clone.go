@@ -50,6 +50,7 @@ func (e *Engine) Clone() (*Engine, error) {
 		patterns: e.patterns,
 		met:      e.met,
 		prep:     &xi.Prep{},
+		pass:     e.seeds.NewPass(),
 		en:       en,
 		plans:    e.plans,
 	}
@@ -58,11 +59,7 @@ func (e *Engine) Clone() (*Engine, error) {
 	if e.trackers != nil {
 		c.trackers = make([]*topk.Tracker, len(e.trackers))
 		for i, t := range e.trackers {
-			ct, err := topk.Restore(e.cfg.TopK, streams.Sketch(i), t.Entries())
-			if err != nil {
-				return nil, fmt.Errorf("core: clone: stream %d: %w", i, err)
-			}
-			c.trackers[i] = ct
+			c.trackers[i] = t.Clone(streams.Sketch(i))
 		}
 	}
 	if e.sum != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"sketchtree/internal/tree"
@@ -53,6 +55,59 @@ func TestCloneBitIdentical(t *testing.T) {
 	for i := range wf {
 		if wf[i] != gf[i] {
 			t.Errorf("frequent[%d]: clone %+v != source %+v", i, gf[i], wf[i])
+		}
+	}
+}
+
+// TestCloneEvolvesLikeSource feeds a clone and its source the same
+// further stream and requires byte-identical synopses afterwards. A
+// tie at a tracker's minimum is broken by heap position, so this holds
+// only because Clone copies each tracker's heap layout instead of
+// rebuilding the heap from the sorted list (several of these streams
+// diverge under a rebuilt heap).
+func TestCloneEvolvesLikeSource(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxPatternEdges = 2
+	cfg.S1, cfg.S2 = 6, 4
+	cfg.VirtualStreams = 3
+	cfg.TopK = 4
+	cfg.TrackExact = false
+	for seed := uint64(1); seed <= 16; seed++ {
+		e := mustEngine(t, cfg)
+		rng := rand.New(rand.NewPCG(seed, 8))
+		for i := 0; i < 50; i++ {
+			if err := e.AddTree(skewedTree(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := e.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			tr := skewedTree(rng)
+			if err := e.AddTree(tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddTree(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: clone fed the source's stream diverged from the source", seed)
+		}
+		for i, tr := range e.trackers {
+			if got, want := c.trackers[i].Churn(), tr.Churn(); got != want {
+				t.Errorf("seed %d stream %d: clone churn %+v, source %+v", seed, i, got, want)
+			}
 		}
 	}
 }

@@ -187,6 +187,7 @@ type Engine struct {
 	met *obs.Metrics
 
 	prep      *xi.Prep         // reused across updates
+	pass      *ams.Pass        // fused-arrival scratch of top-k processing
 	encodeBuf []byte           // reused sequence-encoding buffer
 	en        *enum.Enumerator // reused across updates; Reset per tree
 	penc      patternEncoder   // reused pattern → Prüfer-bytes encoder
@@ -273,6 +274,7 @@ func New(cfg Config) (*Engine, error) {
 		rng:     rng,
 		met:     &obs.Metrics{},
 		prep:    &xi.Prep{},
+		pass:    seeds.NewPass(),
 		en:      en,
 		plans:   newPlanCache(cfg.PlanCacheSize),
 	}
@@ -394,14 +396,22 @@ func (e *Engine) visitPattern(p *enum.Pattern) error {
 		a.mark = now
 	}
 	e.fam.Prepare(v, e.prep)
-	e.streams.UpdatePrepared(v, e.prep, a.delta)
+	// An occurrence sampled for top-k takes the fused arrival pass, so
+	// Algorithm 4 reuses its ξ signs and row sums; the rest take the
+	// plain update.
+	tracked := a.delta > 0 && e.trackers != nil && e.sampleTopK()
+	if tracked {
+		e.streams.UpdatePass(v, e.prep, a.delta, e.pass)
+	} else {
+		e.streams.UpdatePrepared(v, e.prep, a.delta)
+	}
 	if a.timed {
 		now := time.Now()
 		a.skNs += now.Sub(a.mark).Nanoseconds()
 		a.mark = now
 	}
-	if a.delta > 0 && e.trackers != nil && e.sampleTopK() {
-		e.trackers[e.streams.Route(v)].Process(v, e.prep)
+	if tracked {
+		e.trackers[e.streams.Route(v)].Process(v, e.pass)
 		if a.timed {
 			now := time.Now()
 			a.tkNs += now.Sub(a.mark).Nanoseconds()

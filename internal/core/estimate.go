@@ -116,9 +116,9 @@ func (e *Engine) estimateUnorderedWithError(q *tree.Node) (Estimate, error) {
 	return e.newEstimate(re, len(vs), sk.EstimateF2(adj)), nil
 }
 
-// adjustmentForValue is the single-value top-k compensation.
-//
-//lint:hotpath
+// adjustmentForValue is the single-value top-k compensation vector,
+// for the estimators that need it per cell (the error bar's F2 is not
+// a shift of the row sums).
 func (e *Engine) adjustmentForValue(v uint64) []int64 {
 	if t := e.trackerFor(v); t != nil {
 		return t.AdjustmentOne(v)
@@ -126,17 +126,30 @@ func (e *Engine) adjustmentForValue(v uint64) []int64 {
 	return nil
 }
 
+// trackedFreq is the number of v's instances top-k processing has
+// deleted from v's sketch: 0 unless v is tracked.
+//
+//lint:hotpath
+func (e *Engine) trackedFreq(v uint64) int64 {
+	if t := e.trackerFor(v); t != nil {
+		f, _ := t.Tracked(v)
+		return f
+	}
+	return 0
+}
+
 // estimateValue runs the single-pattern query path on an already-mapped
 // one-dimensional value: routed sketch estimate with top-k
 // compensation, through a pooled estimator so repeated queries reuse
-// the row and parity scratch. This is the estimator the auditor
-// scores, so the audit report measures exactly the error a
-// user-issued ordered query sees.
+// the row and sign scratch. The compensation of a tracked value is a
+// shift of every row sum (ams.Estimator.Count), so no per-cell vector
+// is built. This is the estimator the auditor scores, so the audit
+// report measures exactly the error a user-issued ordered query sees.
 //
 //lint:hotpath
 func (e *Engine) estimateValue(v uint64) float64 {
 	es := e.qest.Get().(*ams.Estimator)
-	est := es.Count(e.streams.SketchFor(v), v, e.adjustmentForValue(v))
+	est := es.Count(e.streams.SketchFor(v), v, e.trackedFreq(v))
 	e.qest.Put(es)
 	return est
 }

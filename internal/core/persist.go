@@ -139,6 +139,7 @@ func Restore(data []byte) (*Engine, error) {
 		//lint:allow determinism the PCG is reseeded from Config.Seed and the restored tree count, so Restore is reproducible by construction
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0x5ce7c47ee^uint64(sn.Trees))),
 		prep:     &xi.Prep{},
+		pass:     seeds.NewPass(),
 		en:       en,
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		trees:    sn.Trees,

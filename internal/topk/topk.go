@@ -11,6 +11,21 @@
 // subtracted from the sketch. Query processing compensates by
 // temporarily adding the deleted instances of any tracked query values
 // back per cell (the d adjustment of §5.2).
+//
+// Algorithm 4 runs once per pattern occurrence, and read literally it
+// evaluates the arrival's ξ signs on every cell four times: for the
+// arrival, the add-back of its deleted instances, the re-estimate,
+// and the delete of the new estimate. Here the arrival is one fused
+// pass (ams.Sketch.UpdatePass) that records each cell's sign mask and
+// each row's sum of ξ·X, and Process works from that record. Because
+// ξ² = 1, adding f instances back raises every row sum by exactly
+// s1·f, so the re-estimate is a shift of the recorded sums; the
+// add-back and the delete then reach the sketch as one write of their
+// net change through the recorded masks. The result is exact, not
+// approximate: the row sums are integers far below 2^53, so the float
+// median of means sees the same values the per-cell estimator sums,
+// and integer counter updates commute. Only an evicted value, which
+// is a different one, is prepared and written on its own.
 package topk
 
 import (
@@ -70,18 +85,14 @@ type Tracker struct {
 	deletedMass atomic.Int64
 
 	// Hot-path scratch: Process runs once per sampled pattern
-	// occurrence, so its re-estimation and eviction updates must not
-	// allocate. est reuses row/bit buffers, prep re-prepares evicted
-	// values, and free recycles list entries displaced earlier.
-	est  *ams.Estimator
+	// occurrence, so its eviction updates must not allocate. prep
+	// re-prepares evicted values, and free recycles list entries
+	// displaced earlier.
 	prep *xi.Prep
 	free []*entry
 }
 
-// New creates a tracker of capacity k over the sketch. The sketch must
-// receive all its stream updates before Process is called for the
-// corresponding value (Algorithm 1 updates the sketches first, then
-// invokes top-k processing).
+// New creates a tracker of capacity k over the sketch.
 func New(k int, sketch *ams.Sketch) (*Tracker, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("topk: k=%d must be positive", k)
@@ -93,7 +104,6 @@ func New(k int, sketch *ams.Sketch) (*Tracker, error) {
 		k:       k,
 		sketch:  sketch,
 		entries: make(map[uint64]*entry),
-		est:     sketch.Seeds().NewEstimator(),
 		prep:    &xi.Prep{},
 	}, nil
 }
@@ -129,55 +139,59 @@ func (t *Tracker) Tracked(v uint64) (int64, bool) {
 	return e.freq, true
 }
 
-// Process runs Algorithm 4 for one arrival of value v, whose ξ
-// preparation is p. The sketch must already include the arrival.
+// Process runs Algorithm 4 for one arrival of value v. ps is the pass
+// the arrival recorded: the caller has already applied it to the
+// tracker's sketch with Sketch.UpdatePass (Algorithm 1 updates the
+// sketches first, then invokes top-k processing).
 //
-// Steps: if v is tracked, its deleted instances are added back and the
-// entry removed (lines 1–7); the frequency of v is then re-estimated
-// from the sketch (line 8); if the estimate is positive and beats the
-// minimum tracked frequency — or the tracker has room — v is
-// (re)admitted: a full tracker first evicts its minimum, adding that
-// value's instances back (lines 10–13), then v's estimated instances
-// are deleted from the sketch and v is recorded (lines 14–18). The
-// delete condition holds on exit.
+// Steps: if v is tracked, its f deleted instances are added back and
+// the entry removed (lines 1–7); the frequency of v is then
+// re-estimated from the sketch (line 8); if the estimate is positive
+// and beats the minimum tracked frequency — or the tracker has room —
+// v is (re)admitted: a full tracker first evicts its minimum, adding
+// that value's instances back (lines 10–13), then v's estimated
+// instances are deleted from the sketch and v is recorded (lines
+// 14–18). The delete condition holds on exit.
+//
+// The steps on v's own instances share the pass (see the package
+// comment): the re-estimate is ps.Estimate(f), and the add-back and
+// the delete are one AddPass of their net change. The counters, list
+// and heap after Process are exactly those of the step-by-step
+// algorithm.
 //
 //lint:hotpath
-func (t *Tracker) Process(v uint64, p *xi.Prep) {
+func (t *Tracker) Process(v uint64, ps *ams.Pass) {
+	var back int64 // instances of v deleted earlier, now added back
 	if e, ok := t.entries[v]; ok {
-		t.sketch.UpdatePrepared(p, e.freq) // add the deleted instances back
+		back = e.freq
 		heap.Remove(&t.heap, e.pos)
 		delete(t.entries, v)
-		t.deletedMass.Add(-e.freq)
+		t.deletedMass.Add(-back)
 		t.free = append(t.free, e)
 	}
-	// Re-estimate through the caller's preparation of v — Algorithm 4
-	// line 8 scores exactly the value that just arrived, so the GF(2^m)
-	// value-side work is already done.
-	est := int64(math.Round(t.est.CountPrepared(t.sketch, p, nil)))
-	if est <= 0 {
-		t.syncMirror()
-		return
-	}
-	if len(t.entries) >= t.k {
-		if est <= t.heap[0].freq {
-			t.syncMirror()
-			return
+	net := back
+	est := int64(math.Round(ps.Estimate(back)))
+	if est > 0 && (len(t.entries) < t.k || est > t.heap[0].freq) {
+		if len(t.entries) >= t.k {
+			// Evict the minimum: restore its instances to the sketch.
+			min := heap.Pop(&t.heap).(*entry)
+			delete(t.entries, min.value)
+			t.sketch.Seeds().Prepare(min.value, t.prep)
+			t.sketch.UpdatePrepared(t.prep, min.freq)
+			t.evictions.Add(1)
+			t.deletedMass.Add(-min.freq)
+			t.free = append(t.free, min)
 		}
-		// Evict the minimum: restore its instances to the sketch.
-		min := heap.Pop(&t.heap).(*entry)
-		delete(t.entries, min.value)
-		t.sketch.Seeds().Prepare(min.value, t.prep)
-		t.sketch.UpdatePrepared(t.prep, min.freq)
-		t.evictions.Add(1)
-		t.deletedMass.Add(-min.freq)
-		t.free = append(t.free, min)
+		e := t.newEntry(v, est)
+		heap.Push(&t.heap, e)
+		t.entries[v] = e //lint:allow hotpath entries are bounded by k; inserts beyond k follow an eviction
+		net -= est       // delete the estimated instances
+		t.promotions.Add(1)
+		t.deletedMass.Add(est)
 	}
-	e := t.newEntry(v, est)
-	heap.Push(&t.heap, e)
-	t.entries[v] = e                 //lint:allow hotpath entries are bounded by k; inserts beyond k follow an eviction
-	t.sketch.UpdatePrepared(p, -est) // delete the estimated instances
-	t.promotions.Add(1)
-	t.deletedMass.Add(est)
+	if net != 0 {
+		t.sketch.AddPass(ps, net)
+	}
 	t.syncMirror()
 }
 
@@ -243,9 +257,11 @@ func (t *Tracker) Adjustment(vs []uint64) []int64 {
 	return adj
 }
 
-// AdjustmentOne is Adjustment for a single query value — the
-// single-pattern query path. An untracked value (the common case)
-// returns nil without allocating.
+// AdjustmentOne is Adjustment for a single query value, for the
+// estimators that need the per-cell vector (an error bar's F2 is not a
+// shift of the row sums; a plain count uses Tracked and
+// ams.Estimator.Count instead). An untracked value returns nil without
+// allocating.
 func (t *Tracker) AdjustmentOne(v uint64) []int64 {
 	e, ok := t.entries[v]
 	if !ok {
@@ -339,6 +355,34 @@ func Restore(k int, sketch *ams.Sketch, entries []ValueFreq) (*Tracker, error) {
 	}
 	t.syncMirror()
 	return t, nil
+}
+
+// Clone copies the tracker onto sketch, which must hold a copy of the
+// tracker's own counters (ams.Sketch.Clone). The heap is copied in its
+// current layout, entries and all, into one slab — not rebuilt from
+// Entries as Restore does — so a tie at the minimum evicts the same
+// value in the clone as in the source, and both evolve identically
+// under the same further stream. The churn diagnostics are copied too.
+func (t *Tracker) Clone(sketch *ams.Sketch) *Tracker {
+	c := &Tracker{
+		k:       t.k,
+		sketch:  sketch,
+		entries: make(map[uint64]*entry, len(t.heap)),
+		heap:    make(entryHeap, len(t.heap)),
+		prep:    &xi.Prep{},
+	}
+	slab := make([]entry, len(t.heap))
+	for i, e := range t.heap {
+		slab[i] = *e
+		c.heap[i] = &slab[i]
+		c.entries[e.value] = &slab[i]
+	}
+	c.promotions.Store(t.promotions.Load())
+	c.evictions.Store(t.evictions.Load())
+	c.residency.Store(t.residency.Load())
+	c.minFreq.Store(t.minFreq.Load())
+	c.deletedMass.Store(t.deletedMass.Load())
+	return c
 }
 
 // MemoryBytes accounts the heap and list storage: 24 bytes of payload

@@ -21,12 +21,12 @@ func newSketch(t testing.TB, s1, s2 int, seed uint64) *ams.Sketch {
 	return se.NewSketch()
 }
 
-// process feeds a value arrival through sketch update + Algorithm 4,
-// the order prescribed by Algorithm 1.
+// process feeds a value arrival through the fused sketch update +
+// Algorithm 4, the order prescribed by Algorithm 1.
 func process(tr *Tracker, sk *ams.Sketch, v uint64) {
-	p := sk.Seeds().Prepare(v, nil)
-	sk.UpdatePrepared(p, 1)
-	tr.Process(v, p)
+	ps := sk.Seeds().NewPass()
+	sk.UpdatePass(sk.Seeds().Prepare(v, nil), 1, ps)
+	tr.Process(v, ps)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -273,12 +273,14 @@ func BenchmarkProcess(b *testing.B) {
 	for i := range vals {
 		vals[i] = uint64(rng.ExpFloat64() * 20) // skewed
 	}
+	p, ps := &xi.Prep{}, sk.Seeds().NewPass()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := vals[i%len(vals)]
-		p := sk.Seeds().Prepare(v, nil)
-		sk.UpdatePrepared(p, 1)
-		tr.Process(v, p)
+		sk.Seeds().Prepare(v, p)
+		sk.UpdatePass(p, 1, ps)
+		tr.Process(v, ps)
 	}
 }
 
@@ -359,9 +361,8 @@ func TestRestoreValidation(t *testing.T) {
 
 // TestProcessZeroAlloc pins the Algorithm 4 hot path at zero heap
 // allocations per arrival once the tracker has warmed up: the
-// re-estimation reuses the tracker's Estimator scratch, evictions
-// re-prepare through the tracker's Prep, and list entries come off the
-// free list.
+// re-estimation reads the caller's pass, evictions re-prepare through
+// the tracker's Prep, and list entries come off the free list.
 func TestProcessZeroAlloc(t *testing.T) {
 	sk := newSketch(t, 8, 5, 23)
 	tr, err := New(4, sk)
@@ -376,14 +377,14 @@ func TestProcessZeroAlloc(t *testing.T) {
 			process(tr, sk, v)
 		}
 	}
-	p := &xi.Prep{}
+	p, ps := &xi.Prep{}, sk.Seeds().NewPass()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		v := vals[i%len(vals)]
 		i++
 		sk.Seeds().Prepare(v, p)
-		sk.UpdatePrepared(p, 1)
-		tr.Process(v, p)
+		sk.UpdatePass(p, 1, ps)
+		tr.Process(v, ps)
 	})
 	if allocs != 0 {
 		t.Fatalf("Process allocates %.1f times per arrival, want 0", allocs)

@@ -123,6 +123,17 @@ func (s *Streams) UpdatePrepared(v uint64, p *xi.Prep, delta int64) {
 	s.items[r].Add(delta)
 }
 
+// UpdatePass is UpdatePrepared through the fused arrival pass: it
+// also records v's sign masks and row sums in ps for the top-k
+// tracker of v's virtual stream.
+//
+//lint:hotpath
+func (s *Streams) UpdatePass(v uint64, p *xi.Prep, delta int64, ps *ams.Pass) {
+	r := s.Route(v)
+	s.sketches[r].UpdatePass(p, delta, ps)
+	s.items[r].Add(delta)
+}
+
 // Items returns the net occurrences routed to virtual stream i so far
 // in this process (insertions minus deletions). Safe to call
 // concurrently with updates. Restored Streams start at zero: item

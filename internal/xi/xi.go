@@ -315,32 +315,89 @@ func (b *Batch) AddInto(p *Prep, delta int64, x []int64) {
 	}
 }
 
-// BitsInto writes each generator's parity bit on p — 0 for ξ = +1,
-// 1 for ξ = −1 — into dst, which must have exactly Len entries. The
-// query-side estimators use it to evaluate one value against every
-// cell without per-cell generator dereferences.
+// AddIntoRows is AddInto fused with the reads top-k processing needs
+// right after an arrival (paper Algorithm 4). In the same pass it
+// stores each cell's sign mask — 0 for ξ = +1, −1 for ξ = −1 — in
+// masks, and each row's sum Σ ξ_c·x[c] over the updated counters in
+// rows. Cells are taken in rows of Len/len(rows) consecutive
+// generators; x and masks must have exactly Len entries. Later writes
+// of the same value then go through AddMasked, and later estimates
+// through the row sums, without evaluating ξ again.
 //
 //lint:hotpath
-func (b *Batch) BitsInto(p *Prep, dst []uint8) {
-	dst = dst[:b.n]
+func (b *Batch) AddIntoRows(p *Prep, delta int64, x, masks, rows []int64) {
+	w := b.n / len(rows)
+	for i := range rows {
+		lo, hi := i*w, i*w+w
+		xr, mr := x[lo:hi], masks[lo:hi]
+		mr = mr[:len(xr)]
+		b.masksInto(p, lo, mr)
+		var sum int64
+		for c, m := range mr {
+			y := xr[c] + (delta ^ m) - m
+			xr[c] = y
+			sum += (y ^ m) - m
+		}
+		rows[i] = sum
+	}
+}
+
+// RowsInto writes each row's sum Σ ξ_c·x[c] for the prepared value
+// into rows, reading x only: the query-side twin of AddIntoRows, safe
+// for concurrent readers of one frozen counter array. masks is
+// Len-entry scratch.
+//
+//lint:hotpath
+func (b *Batch) RowsInto(p *Prep, x, masks, rows []int64) {
+	w := b.n / len(rows)
+	for i := range rows {
+		lo, hi := i*w, i*w+w
+		xr, mr := x[lo:hi], masks[lo:hi]
+		mr = mr[:len(xr)]
+		b.masksInto(p, lo, mr)
+		var sum int64
+		for c, m := range mr {
+			sum += (xr[c] ^ m) - m
+		}
+		rows[i] = sum
+	}
+}
+
+// masksInto writes the sign masks on p of the len(dst) generators
+// from lo on into dst. One popcount per cell suffices: the parity of a
+// sum of popcounts is the parity of the popcount of the XOR of its
+// operands.
+//
+//lint:hotpath
+func (b *Batch) masksInto(p *Prep, lo int, dst []int64) {
 	if b.fam.kind == BCH {
 		w0, w1 := p.words[0], p.words[1]
-		s0 := b.words[0][:b.n]
-		s1 := b.words[1][:b.n]
-		signs := b.signs[:b.n]
-		for c := range dst {
-			bit := signs[c] ^
-				uint64(bits.OnesCount64(s0[c]&w0)) ^
-				uint64(bits.OnesCount64(s1[c]&w1))
-			dst[c] = uint8(bit & 1)
+		signs := b.signs[lo : lo+len(dst)]
+		s0 := b.words[0][lo : lo+len(signs)]
+		s1 := b.words[1][lo : lo+len(signs)]
+		for c, sg := range signs {
+			bit := sg ^ uint64(bits.OnesCount64(s0[c]&w0^s1[c]&w1))
+			dst[c] = -int64(bit & 1)
 		}
 		return
 	}
 	for c := range dst {
-		var bit uint64
+		var acc uint64
 		for j, w := range p.words {
-			bit ^= uint64(bits.OnesCount64(b.words[j][c] & w))
+			acc ^= b.words[j][lo+c] & w
 		}
-		dst[c] = uint8(bit & 1)
+		dst[c] = -int64(bits.OnesCount64(acc) & 1)
+	}
+}
+
+// AddMasked adds delta·ξ_c to x[c] for every cell, reading the signs
+// from masks written by AddIntoRows for the same value: a write of a
+// value already evaluated once, with no popcount.
+//
+//lint:hotpath
+func AddMasked(masks []int64, delta int64, x []int64) {
+	masks = masks[:len(x)]
+	for c, m := range masks {
+		x[c] += (delta ^ m) - m
 	}
 }

@@ -364,27 +364,57 @@ func TestBatchMatchesGeneratorXi(t *testing.T) {
 		if b.Len() != len(gens) {
 			t.Fatalf("Len = %d, want %d", b.Len(), len(gens))
 		}
+		// AddIntoRows updates fused as one row of 37 cells; RowsInto
+		// also reads it as 37 rows of one cell, pinning the row split.
 		x := make([]int64, len(gens))
+		fused := make([]int64, len(gens))
 		want := make([]int64, len(gens))
-		bits := make([]uint8, len(gens))
+		masks := make([]int64, len(gens))
+		scratch := make([]int64, len(gens))
 		p := &Prep{}
 		for i := 0; i < 200; i++ {
 			v := rng.Uint64()
 			delta := int64(rng.IntN(7) - 3)
 			fam.Prepare(v, p)
 			b.AddInto(p, delta, x)
-			b.BitsInto(p, bits)
 			for c, g := range gens {
-				xi := g.Xi(p)
-				want[c] += int64(xi) * delta
-				if wantBit := uint8(0); xi == 1 && bits[c] != wantBit || xi == -1 && bits[c] != 1 {
-					t.Fatalf("kind %v value %#x cell %d: bit %d, xi %d", fam.Kind(), v, c, bits[c], xi)
+				want[c] += int64(g.Xi(p)) * delta
+			}
+			for _, nrows := range []int{1, len(gens)} {
+				rows := make([]int64, nrows)
+				got := make([]int64, nrows)
+				if nrows == 1 {
+					b.AddIntoRows(p, delta, fused, masks, rows)
 				}
+				b.RowsInto(p, fused, scratch, got)
+				wantRows := make([]int64, nrows)
+				for c, g := range gens {
+					xi := g.Xi(p)
+					if m := masks[c]; xi == 1 && m != 0 || xi == -1 && m != -1 {
+						t.Fatalf("kind %v value %#x cell %d: mask %d, xi %d", fam.Kind(), v, c, m, xi)
+					}
+					wantRows[c*nrows/len(gens)] += int64(xi) * fused[c]
+				}
+				for r := range got {
+					if nrows == 1 && rows[r] != wantRows[r] {
+						t.Fatalf("kind %v value %#x: AddIntoRows row sum %d, want %d", fam.Kind(), v, rows[r], wantRows[r])
+					}
+					if got[r] != wantRows[r] {
+						t.Fatalf("kind %v value %#x row %d/%d: RowsInto %d, want %d", fam.Kind(), v, r, nrows, got[r], wantRows[r])
+					}
+				}
+			}
+			// A masked write of the same value matches a fresh AddInto.
+			d2 := int64(rng.IntN(5) - 2)
+			AddMasked(masks, d2, fused)
+			b.AddInto(p, d2, x)
+			for c, g := range gens {
+				want[c] += int64(g.Xi(p)) * d2
 			}
 		}
 		for c := range x {
-			if x[c] != want[c] {
-				t.Fatalf("kind %v cell %d: batched counter %d, per-generator %d", fam.Kind(), c, x[c], want[c])
+			if x[c] != want[c] || fused[c] != want[c] {
+				t.Fatalf("kind %v cell %d: batched counter %d, fused %d, per-generator %d", fam.Kind(), c, x[c], fused[c], want[c])
 			}
 		}
 	}
@@ -419,6 +449,28 @@ func BenchmarkBatchAddIntoBCH175(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch.AddInto(p, 1, x)
+	}
+}
+
+func BenchmarkBatchAddIntoRowsBCH175(b *testing.B) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	fam := NewBCHFamily(field63)
+	gens := make([]*Generator, 175)
+	for i := range gens {
+		gens[i] = fam.NewGenerator(rng)
+	}
+	batch, err := NewBatch(gens)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]int64, len(gens))
+	masks := make([]int64, len(gens))
+	rows := make([]int64, 7)
+	p := fam.Prepare(0x9e3779b97f4a7c15, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch.AddIntoRows(p, 1, x, masks, rows)
 	}
 }
 
