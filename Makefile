@@ -75,7 +75,7 @@ bench-baseline: bench-matrix
 	@echo "refreshed testdata/bench/BENCH_baseline.json"
 
 # One iteration of the headline benchmarks, one cell per matrix axis,
-# and the top-k rung of the update kernel: proves the bench harness
+# the top-k rung of the update kernel and the Safe lock-split rung: proves the bench harness
 # still compiles and runs, without the minutes-long paper-scale sweeps. (The matrix cells are separate
 # invocations because go test splits -bench patterns on every slash,
 # so per-cell selectors cannot be |-combined.)
@@ -86,6 +86,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixMerge/vstreams=1' -benchtime 1x . >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixWindow/slices=4/every=8' -benchtime 1x . >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkAddTreeTopK' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSafeAddTreeParallel' -benchtime 1x . >/dev/null
 
 # The cluster-mode end-to-end tests under the race detector: three
 # shard daemons plus a coordinator started through the real CLI entry
@@ -123,3 +124,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/prufer
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstruct$$' -fuzztime $(FUZZTIME) ./internal/prufer
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzers$$' -fuzztime $(FUZZTIME) ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) ./internal/rabin
+	$(GO) test -run '^$$' -fuzz '^FuzzSigns$$' -fuzztime $(FUZZTIME) ./internal/xi

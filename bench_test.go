@@ -13,7 +13,9 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sketchtree/internal/ams"
 	"sketchtree/internal/core"
@@ -519,6 +521,86 @@ func BenchmarkAddTreeTopK(b *testing.B) {
 			runtime.ReadMemStats(&ms1)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tree")
 			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/tree")
+		})
+	}
+}
+
+// BenchmarkSafeAddTreeParallel is the rung of the split update kernel:
+// Safe.AddTree on TREEBANK datagen seed 1 at the daemon defaults with
+// top-k off, from 1 and 2 goroutines, after 1024 warm-up trees. It
+// reports ns/tree and allocs/tree of the whole call, and apply-ns/tree:
+// core.Engine.ApplyPrepared alone, timed on a separate engine fed the
+// same trees sequentially after the parallel run, each prepared
+// beforehand. That is an apply-only proxy for the time Safe.mu is held
+// per tree: it leaves out Safe's bookkeeping under the lock (the
+// update counter, any snapshot or window publish) and lock waits.
+func BenchmarkSafeAddTreeParallel(b *testing.B) {
+	src := datagen.Treebank(1, 1<<20)
+	warm := make([]*tree.Tree, 1024)
+	for i := range warm {
+		warm[i], _ = src.Next()
+	}
+	timed := make([]*tree.Tree, 2048)
+	for i := range timed {
+		timed[i], _ = src.Next()
+	}
+	cfg := DefaultConfig()
+	cfg.TopK = 0
+	for _, g := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			s, err := NewSafe(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, t := range warm {
+				if err := s.AddTree(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for w := 0; w < g; w++ {
+				n := b.N / g
+				if w < b.N%g {
+					n++
+				}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if err := s.AddTree(timed[int(next.Add(1))%len(timed)]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tree")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/tree")
+
+			e, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var p core.Prepared
+			var apply time.Duration
+			for i := 0; i < b.N; i++ {
+				if err := e.PrepareTree(timed[i%len(timed)], &p); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				if err := e.ApplyPrepared(&p); err != nil {
+					b.Fatal(err)
+				}
+				apply += time.Since(start)
+			}
+			b.ReportMetric(float64(apply.Nanoseconds())/float64(b.N), "apply-ns/tree")
 		})
 	}
 }

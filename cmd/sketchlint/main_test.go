@@ -260,12 +260,12 @@ func TestClosureInAddTreeEscapesTheHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const call = "return e.applyTree(t, 1)"
+	const call = "return e.apply(e.own, 1)"
 	if !bytes.Contains(src, []byte(call)) {
 		t.Fatalf("engine.go no longer has %q; update this test", call)
 	}
 	mutated := bytes.Replace(src, []byte(call),
-		[]byte("delta := func() int64 { return 1 }\n\treturn e.applyTree(t, delta())"), 1)
+		[]byte("delta := func() int64 { return 1 }\n\treturn e.apply(e.own, delta())"), 1)
 	m, err := analysis.Load(moduleRoot, map[string][]byte{rel: mutated})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sketchtree/internal/core"
 	"sketchtree/internal/obs"
 )
 
 // Safe wraps a SketchTree for concurrent use: updates take the write
 // lock, queries the read lock. Queries are pure reads of the synopsis,
-// so any number may run concurrently between updates.
+// so any number may run concurrently between updates. An added tree is
+// prepared before the write lock is taken — enumeration, fingerprints
+// and ξ sign bits depend only on the immutable mapping — so concurrent
+// writers prepare in parallel and the lock covers only the counter
+// adds.
 //
 // EnableSnapshots and EnableWindow switch the Count*/Estimate* reads
 // to a lock-free path served from a published frozen view — see
@@ -21,6 +26,10 @@ import (
 type Safe struct {
 	mu sync.RWMutex // the only lock updates take, in every mode
 	st *SketchTree
+
+	// prepared pools the per-tree scratch of AddTree's prepare step, one
+	// in use per concurrent writer.
+	prepared sync.Pool
 
 	// The serving slot (see serve.go), shared by snapshot and window
 	// mode. view is the published frozen state (nil = locked path);
@@ -54,14 +63,37 @@ func RestoreSafe(data []byte) (*Safe, error) {
 }
 
 // AddTree folds one tree into the synopsis (into the current window
-// slice while the window is enabled).
+// slice while the window is enabled). The tree is prepared outside the
+// write lock; only the counter adds run under it.
 func (s *Safe) AddTree(t *Tree) error {
+	p, err := s.prepare(t)
+	if err != nil {
+		return err
+	}
+	defer s.prepared.Put(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v := s.windowView(); v != nil {
-		return s.noteUpdateLocked(v.ring.Add(t))
+		return s.noteUpdateLocked(v.ring.Add(p))
 	}
-	return s.noteUpdateLocked(false, s.st.AddTree(t))
+	return s.noteUpdateLocked(false, s.st.e.ApplyPrepared(p))
+}
+
+// prepare runs the lock-free half of an update: t's occurrences,
+// values and ξ sign bits, into pooled scratch. It reads only the live
+// engine's mapping — fingerprinter, ξ family and seeds — which never
+// changes after construction and which every window slice and snapshot
+// clone shares, so it takes no lock.
+func (s *Safe) prepare(t *Tree) (*core.Prepared, error) {
+	p, _ := s.prepared.Get().(*core.Prepared)
+	if p == nil {
+		p = new(core.Prepared)
+	}
+	if err := s.st.e.PrepareTree(t, p); err != nil {
+		s.prepared.Put(p)
+		return nil, err
+	}
+	return p, nil
 }
 
 // RemoveTree deletes one earlier occurrence of the tree (from the
@@ -76,8 +108,8 @@ func (s *Safe) RemoveTree(t *Tree) error {
 	return s.noteUpdateLocked(false, s.st.RemoveTree(t))
 }
 
-// AddXML parses one XML document (outside the lock) and folds it into
-// the synopsis under the write lock.
+// AddXML parses and prepares one XML document outside the lock and
+// folds it into the synopsis under the write lock.
 func (s *Safe) AddXML(r io.Reader) error {
 	t, err := ParseXML(r)
 	if err != nil {

@@ -180,11 +180,25 @@ func (s *Sketch) IsZero() bool {
 // UpdatePrepared adds delta·ξ_v to every cell for the prepared value.
 // delta is the (possibly negative) multiplicity: Update(v, -m) deletes
 // m instances of v, the AMS deletion property the top-k strategy
-// relies on. The update runs through the flattened seed batch — one
-// contiguous branchless pass over the counters, the stream-processing
-// inner loop.
+// relies on. It is Signs then UpdateSigns, with the sign words on the
+// stack up to 512 cells.
 func (s *Sketch) UpdatePrepared(p *xi.Prep, delta int64) {
-	s.seeds.batch.AddInto(p, delta, s.x)
+	var buf [8]uint64
+	signs := buf[:]
+	if n := s.seeds.batch.SignWords(); n > len(buf) {
+		signs = make([]uint64, n)
+	}
+	s.seeds.batch.Signs(p, signs)
+	s.UpdateSigns(signs, delta)
+}
+
+// UpdateSigns adds delta·ξ_v to every cell, reading v's signs from the
+// words Batch.Signs wrote for it: one contiguous branchless pass over
+// the counters, the stream-processing inner loop.
+//
+//lint:hotpath
+func (s *Sketch) UpdateSigns(signs []uint64, delta int64) {
+	xi.AddSigns(signs, delta, s.x)
 }
 
 // Update is UpdatePrepared with a one-off preparation of v.
@@ -338,15 +352,15 @@ func medianInPlace(xs []float64) float64 {
 }
 
 // Estimator is reusable scratch for repeated count estimation over
-// sketches sharing one Seeds: the ξ preparation, the per-cell sign
-// masks, and the row sums live in the Estimator, so steady-state
+// sketches sharing one Seeds: the ξ preparation, the sign words, and
+// the row sums live in the Estimator, so steady-state
 // estimation allocates nothing. Results are bit-identical to
 // EstimateCount. An Estimator is not safe for concurrent use; pool
 // one per goroutine.
 type Estimator struct {
 	seeds *Seeds
 	prep  *xi.Prep
-	masks []int64
+	signs []uint64
 	sums  []int64
 	means []float64
 }
@@ -356,7 +370,7 @@ func (se *Seeds) NewEstimator() *Estimator {
 	return &Estimator{
 		seeds: se,
 		prep:  &xi.Prep{},
-		masks: make([]int64, se.Cells()),
+		signs: make([]uint64, se.batch.SignWords()),
 		sums:  make([]int64, se.s2),
 		means: make([]float64, se.s2),
 	}
@@ -373,7 +387,8 @@ func (se *Seeds) NewEstimator() *Estimator {
 func (es *Estimator) Count(s *Sketch, v uint64, shift int64) float64 {
 	se := es.seeds
 	se.Prepare(v, es.prep)
-	se.batch.RowsInto(es.prep, s.x, es.masks, es.sums)
+	se.batch.Signs(es.prep, es.signs)
+	xi.SignedRows(es.signs, s.x, es.sums)
 	return shiftedMedian(es.sums, se.s1, shift, es.means)
 }
 
@@ -393,14 +408,14 @@ func shiftedMedian(sums []int64, s1 int, shift int64, means []float64) float64 {
 }
 
 // Pass carries what one fused arrival (Sketch.UpdatePass) learned
-// about its value: each cell's ξ sign mask and each row's sum of ξ·X
-// over the updated counters. Top-k processing of that arrival then
-// estimates the value (Estimate) and writes its net change back
-// (Sketch.AddPass) without evaluating ξ again. A Pass is scratch of
-// the single updating goroutine.
+// about its value: its ξ sign words and each row's sum of ξ·X over the
+// updated counters. Top-k processing of that arrival then estimates
+// the value (Estimate) and writes its net change back (Sketch.AddPass)
+// without evaluating ξ again. A Pass is scratch of the single updating
+// goroutine.
 type Pass struct {
 	s1    int
-	masks []int64
+	signs []uint64
 	sums  []int64
 	means []float64
 }
@@ -409,20 +424,21 @@ type Pass struct {
 func (se *Seeds) NewPass() *Pass {
 	return &Pass{
 		s1:    se.s1,
-		masks: make([]int64, se.Cells()),
+		signs: make([]uint64, se.batch.SignWords()),
 		sums:  make([]int64, se.s2),
 		means: make([]float64, se.s2),
 	}
 }
 
-// UpdatePass is UpdatePrepared that also records the pass of the value
-// in ps, which must come from NewPass on these seeds: one evaluation of
-// ξ per cell serves the update, the estimate and any later write of the
-// same value.
+// UpdatePass is UpdateSigns that also records the pass of the value
+// in ps, which must come from NewPass on these seeds: one reading of
+// the sign words serves the update, the estimate and any later write
+// of the same value.
 //
 //lint:hotpath
-func (s *Sketch) UpdatePass(p *xi.Prep, delta int64, ps *Pass) {
-	s.seeds.batch.AddIntoRows(p, delta, s.x, ps.masks, ps.sums)
+func (s *Sketch) UpdatePass(signs []uint64, delta int64, ps *Pass) {
+	copy(ps.signs, signs)
+	xi.AddSignsRows(signs, delta, s.x, ps.sums)
 }
 
 // AddPass adds delta instances of the value ps was recorded for. The
@@ -430,7 +446,7 @@ func (s *Sketch) UpdatePass(p *xi.Prep, delta int64, ps *Pass) {
 //
 //lint:hotpath
 func (s *Sketch) AddPass(ps *Pass, delta int64) {
-	xi.AddMasked(ps.masks, delta, s.x)
+	xi.AddSigns(ps.signs, delta, s.x)
 }
 
 // Estimate is the count estimate of the pass's value after shift of

@@ -517,10 +517,18 @@ func shiftAdjust(seeds *Seeds, v uint64, shift int64) []int64 {
 	return adj
 }
 
-// The fused arrival must leave the counters UpdatePrepared leaves, and
-// its recorded pass must answer and write like the step-by-step
-// operations it replaces: Estimate(f) as EstimateCount after adding f
-// instances back, AddPass as a fresh UpdatePrepared.
+// refUpdate adds delta·ξ_c(p) to every cell through the per-generator
+// reference Xi, independently of the sign-word kernels.
+func refUpdate(s *Sketch, p *xi.Prep, delta int64) {
+	for c := range s.x {
+		s.x[c] += int64(s.seeds.Xi(c, p)) * delta
+	}
+}
+
+// The fused arrival must leave the counters the per-generator update
+// leaves, and its recorded pass must answer and write like the
+// step-by-step operations it replaces: Estimate(f) as EstimateCount
+// after adding f instances back, AddPass as a fresh update.
 func TestPassMatchesStepwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 13))
 	field := gf2.MustField(gf2.DefaultModulus(63))
@@ -536,19 +544,21 @@ func TestPassMatchesStepwise(t *testing.T) {
 		fused, plain := seeds.NewSketch(), seeds.NewSketch()
 		ps := seeds.NewPass()
 		p := &xi.Prep{}
+		signs := make([]uint64, seeds.Batch().SignWords())
 		for i := 0; i < 300; i++ {
 			v := uint64(rng.IntN(40))
 			delta := int64(rng.IntN(5) + 1)
 			seeds.Prepare(v, p)
-			fused.UpdatePass(p, delta, ps)
-			plain.UpdatePrepared(p, delta)
+			seeds.Batch().Signs(p, signs)
+			fused.UpdatePass(signs, delta, ps)
+			refUpdate(plain, p, delta)
 			f := int64(rng.IntN(30))
 			if got, want := ps.Estimate(f), plain.EstimateCount(v, shiftAdjust(seeds, v, f)); got != want {
 				t.Fatalf("kind %v step %d: Estimate(%d) = %v, want %v", fam.Kind(), i, f, got, want)
 			}
 			back := int64(rng.IntN(7) - 3)
 			fused.AddPass(ps, back)
-			plain.UpdatePrepared(p, back)
+			refUpdate(plain, p, back)
 			for c := 0; c < seeds.Cells(); c++ {
 				if fused.Counter(c) != plain.Counter(c) {
 					t.Fatalf("kind %v step %d cell %d: fused %d, plain %d", fam.Kind(), i, c, fused.Counter(c), plain.Counter(c))

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"sketchtree/internal/enum"
 	"sketchtree/internal/exact"
 	"sketchtree/internal/summary"
 	"sketchtree/internal/topk"
-	"sketchtree/internal/xi"
 )
 
 // Clone deep-copies the engine into an independent frozen synopsis —
@@ -32,12 +30,6 @@ import (
 // cloning; Safe takes care of that for snapshot serving.
 func (e *Engine) Clone() (*Engine, error) {
 	streams := e.streams.Clone()
-	// The clone never updates, but applyTree's machinery stays usable so
-	// a clone behaves like any engine (tests merge into clones, etc.).
-	en, err := enum.NewEnumerator(e.cfg.MaxPatternEdges)
-	if err != nil {
-		return nil, fmt.Errorf("core: clone: %w", err)
-	}
 	c := &Engine{
 		cfg:     e.cfg,
 		fam:     e.fam,
@@ -49,12 +41,10 @@ func (e *Engine) Clone() (*Engine, error) {
 		trees:    e.trees,
 		patterns: e.patterns,
 		met:      e.met,
-		prep:     &xi.Prep{},
 		pass:     e.seeds.NewPass(),
-		en:       en,
+		own:      &Prepared{},
 		plans:    e.plans,
 	}
-	c.visit = c.visitPattern
 	c.qest.New = func() any { return c.seeds.NewEstimator() }
 	if e.trackers != nil {
 		c.trackers = make([]*topk.Tracker, len(e.trackers))
@@ -63,8 +53,8 @@ func (e *Engine) Clone() (*Engine, error) {
 		}
 	}
 	if e.sum != nil {
-		sn := e.sum.Snapshot()
-		c.sum, err = summary.FromSnapshot(sn)
+		var err error
+		c.sum, err = summary.FromSnapshot(e.sum.Snapshot())
 		if err != nil {
 			return nil, fmt.Errorf("core: clone: %w", err)
 		}

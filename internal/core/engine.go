@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sketchtree/internal/ams"
 	"sketchtree/internal/audit"
@@ -186,18 +185,8 @@ type Engine struct {
 	// maintained; timers only when enabled (obs.Metrics.EnableTimers).
 	met *obs.Metrics
 
-	prep      *xi.Prep         // reused across updates
-	pass      *ams.Pass        // fused-arrival scratch of top-k processing
-	encodeBuf []byte           // reused sequence-encoding buffer
-	en        *enum.Enumerator // reused across updates; Reset per tree
-	penc      patternEncoder   // reused pattern → Prüfer-bytes encoder
-
-	// visit is e.visitPattern bound once at construction; passing it to
-	// the enumerator avoids a fresh closure per tree. apply carries the
-	// per-tree state the callback needs (the update path is serialized,
-	// so one scratch area suffices).
-	visit func(*enum.Pattern) error
-	apply applyScratch
+	pass *ams.Pass // fused-arrival scratch of top-k processing
+	own  *Prepared // AddTree/RemoveTree's scratch (the update path is serialized)
 
 	// qest pools query-side estimators: concurrent queries on one
 	// frozen engine (snapshot serving) each borrow a scratch estimator
@@ -261,10 +250,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	en, err := enum.NewEnumerator(cfg.MaxPatternEdges)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	e := &Engine{
 		cfg:     cfg,
 		fam:     fam,
@@ -273,12 +258,10 @@ func New(cfg Config) (*Engine, error) {
 		fp:      fp,
 		rng:     rng,
 		met:     &obs.Metrics{},
-		prep:    &xi.Prep{},
 		pass:    seeds.NewPass(),
-		en:      en,
+		own:     &Prepared{},
 		plans:   newPlanCache(cfg.PlanCacheSize),
 	}
-	e.visit = e.visitPattern
 	e.qest.New = func() any { return seeds.NewEstimator() }
 	if cfg.TopK > 0 {
 		e.trackers = make([]*topk.Tracker, cfg.VirtualStreams)
@@ -311,40 +294,19 @@ func (e *Engine) PatternValue(q *tree.Node) uint64 {
 	return e.fp.Fingerprint(prufer.OfNode(q).Encode(nil))
 }
 
-// patternValueReuse is the update-path variant that reuses the
-// engine's encode buffer; only the (serialized) update path may use
-// it.
-func (e *Engine) patternValueReuse(q *tree.Node) uint64 {
-	e.encodeBuf = prufer.OfNode(q).Encode(e.encodeBuf[:0])
-	return e.fp.Fingerprint(e.encodeBuf)
-}
-
-// patternValue maps an enumerated pattern to its value without
-// materializing a tree: the pattern encoder emits the same bytes as
-// PatternValue on p.ToTree() (pinned by an identity test), straight
-// into the engine's encode buffer. Update path only.
-//
-//lint:hotpath
-func (e *Engine) patternValue(p *enum.Pattern) uint64 {
-	e.encodeBuf = e.penc.encode(p, e.encodeBuf[:0])
-	return e.fp.Fingerprint(e.encodeBuf)
-}
-
 // AddTree processes one tree from the stream: every ordered pattern
 // with 1..k edges is enumerated, mapped to its one-dimensional value,
 // and folded into the synopsis (Algorithm 1), with per-pattern top-k
-// processing (Algorithm 4) when enabled.
-//
-// Partial-state contract: if AddTree returns a mid-enumeration error,
-// the synopsis holds exactly the prefix of the tree's pattern
-// occurrences applied before the failure — PatternsProcessed counts
-// those occurrences and TreesProcessed does not count the tree. A
-// caller that needs all-or-nothing semantics should restore a prior
-// snapshot (MarshalBinary/Restore) or discard the engine.
+// processing (Algorithm 4) when enabled. It is PrepareTree into the
+// engine's own scratch followed by ApplyPrepared, so a tree is either
+// applied whole or, on error, not at all.
 //
 //lint:hotpath
 func (e *Engine) AddTree(t *tree.Tree) error {
-	return e.applyTree(t, 1)
+	if err := e.PrepareTree(t, e.own); err != nil {
+		return err
+	}
+	return e.apply(e.own, 1)
 }
 
 // RemoveTree deletes one earlier occurrence of the tree from the
@@ -358,123 +320,10 @@ func (e *Engine) AddTree(t *tree.Tree) error {
 //
 //lint:hotpath
 func (e *Engine) RemoveTree(t *tree.Tree) error {
-	return e.applyTree(t, -1)
-}
-
-// applyScratch is the per-tree state of applyTree, read and written by
-// visitPattern. Keeping it on the engine (the update path is
-// serialized) lets the enumeration callback be the pre-bound e.visit
-// instead of a closure allocated per tree. occ mirrors the
-// per-occurrence pattern counter so the metrics atomics are updated
-// even on the partial-state error path.
-type applyScratch struct {
-	delta                                int64
-	timed                                bool
-	enumNs, fpNs, skNs, tkNs, tkOps, occ int64
-	mark                                 time.Time
-}
-
-// visitPattern folds one enumerated pattern occurrence into the
-// synopsis: value mapping, sketch update, sampled top-k processing,
-// and the optional truth/observer/auditor hooks. Stage timing
-// accumulates in the scratch area and flushes to the atomics once per
-// tree; with timers off the whole apparatus reduces to one boolean
-// test per pattern.
-//
-//lint:hotpath
-func (e *Engine) visitPattern(p *enum.Pattern) error {
-	a := &e.apply
-	if a.timed {
-		now := time.Now()
-		a.enumNs += now.Sub(a.mark).Nanoseconds()
-		a.mark = now
-	}
-	v := e.patternValue(p)
-	if a.timed {
-		now := time.Now()
-		a.fpNs += now.Sub(a.mark).Nanoseconds()
-		a.mark = now
-	}
-	e.fam.Prepare(v, e.prep)
-	// An occurrence sampled for top-k takes the fused arrival pass, so
-	// Algorithm 4 reuses its ξ signs and row sums; the rest take the
-	// plain update.
-	tracked := a.delta > 0 && e.trackers != nil && e.sampleTopK()
-	if tracked {
-		e.streams.UpdatePass(v, e.prep, a.delta, e.pass)
-	} else {
-		e.streams.UpdatePrepared(v, e.prep, a.delta)
-	}
-	if a.timed {
-		now := time.Now()
-		a.skNs += now.Sub(a.mark).Nanoseconds()
-		a.mark = now
-	}
-	if tracked {
-		e.trackers[e.streams.Route(v)].Process(v, e.pass)
-		if a.timed {
-			now := time.Now()
-			a.tkNs += now.Sub(a.mark).Nanoseconds()
-			a.mark = now
-			a.tkOps++
-		}
-	}
-	if e.truth != nil {
-		e.truth.Add(v, a.delta) //lint:allow hotpath exact-truth tracking is a test-only opt-in, nil in production
-	}
-	if e.observer != nil {
-		e.observer(v, p)
-	}
-	if e.auditor != nil {
-		e.auditor.Observe(v, a.delta) //lint:allow hotpath the auditor is an opt-in diagnostic, nil in production
-	}
-	// Incremented per applied occurrence, inside the callback, so
-	// that on a mid-enumeration error PatternsProcessed counts
-	// exactly the occurrences the sketches actually absorbed (the
-	// partial-state contract documented on AddTree).
-	e.patterns += a.delta
-	a.occ++
-	return nil
-}
-
-// applyTree is the shared add/remove kernel: reset the enumerator,
-// visit every pattern, flush stage timings once per tree.
-//
-//lint:hotpath
-func (e *Engine) applyTree(t *tree.Tree, delta int64) error {
-	if t == nil || t.Root == nil {
-		return fmt.Errorf("core: nil tree")
-	}
-	a := &e.apply
-	*a = applyScratch{delta: delta, timed: e.met.TimersOn()}
-	if a.timed {
-		a.mark = time.Now()
-	}
-	// The enumerator is reused across updates like prep/encodeBuf; its
-	// memo is keyed by node identity and must be reset per tree.
-	e.en.Reset()
-	err := e.en.ForEach(t.Root, e.visit)
-	if a.timed {
-		e.met.StageAdd(obs.StageEnum, a.occ, a.enumNs)
-		e.met.StageAdd(obs.StageFingerprint, a.occ, a.fpNs)
-		e.met.StageAdd(obs.StageSketch, a.occ, a.skNs)
-		e.met.StageAdd(obs.StageTopK, a.tkOps, a.tkNs)
-	}
-	e.met.AddPatterns(a.occ * delta)
-	if err != nil {
+	if err := e.PrepareTree(t, e.own); err != nil {
 		return err
 	}
-	if e.sum != nil && delta > 0 {
-		// The summary is a set of observed paths; deletion does not
-		// retract structure (a conservative over-approximation).
-		e.sum.AddTree(t) //lint:allow hotpath path-summary ingestion is opt-in and amortized over its arena
-	}
-	e.trees += delta
-	e.met.AddTrees(delta)
-	if delta < 0 {
-		e.met.AddRemoves(1)
-	}
-	return nil
+	return e.apply(e.own, -1)
 }
 
 // sampleTopK decides whether a pattern occurrence goes through top-k

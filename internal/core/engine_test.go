@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -656,5 +658,55 @@ func TestEstimateUnorderedArrangementExplosion(t *testing.T) {
 	// 9! = 362880 arrangements exceeds the cap.
 	if _, err := e.EstimateUnordered(wide); err == nil {
 		t.Error("arrangement explosion must be reported")
+	}
+}
+
+// A batch prepared under another engine's mapping is refused whole:
+// its sign bits mean nothing for these counters. Clones share their
+// source's mapping and accept it; an engine built separately, even
+// from the same configuration, owns its own seed objects and refuses.
+func TestApplyPreparedRefusesForeignMapping(t *testing.T) {
+	cfg := testConfig()
+	cfg.TopK = 0
+	a := mustEngine(t, cfg)
+	tr := tree.NewTree(tree.T("A", tree.T("B", tree.T("C")), tree.T("D")))
+	var p Prepared
+	if err := a.ApplyPrepared(&p); err == nil {
+		t.Fatal("an empty Prepared must be refused")
+	}
+	if err := a.PrepareTree(tr, &p); err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed = 2
+	for name, e := range map[string]*Engine{"seed 2": mustEngine(t, other), "same config": mustEngine(t, cfg)} {
+		before, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ApplyPrepared(&p); !errors.Is(err, errForeignMapping) {
+			t.Fatalf("%s: ApplyPrepared = %v, want the foreign-mapping refusal", name, err)
+		}
+		after, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) || e.TreesProcessed() != 0 || e.PatternsProcessed() != 0 {
+			t.Fatalf("%s: a refused batch changed the synopsis", name)
+		}
+	}
+	c, err := a.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyPrepared(&p); err != nil {
+		t.Fatalf("clone refused its source's batch: %v", err)
+	}
+	if err := a.AddTree(tr); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := a.MarshalBinary()
+	if got, _ := c.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("applying a prepared tree to a clone differs from AddTree on the source")
 	}
 }

@@ -59,22 +59,22 @@ func TestPatternEncoderMatchesPrufer(t *testing.T) {
 }
 
 // TestPatternValueMatchesPatternValue checks the engine-level
-// consequence: patternValue(p) == PatternValue(p.ToTree()).
+// consequence: every value PrepareTree computes for an occurrence p is
+// PatternValue(p.ToTree()).
 func TestPatternValueMatchesPatternValue(t *testing.T) {
 	e := mustEngine(t, testConfig())
 	rng := rand.New(rand.NewPCG(5, 6))
 	root := randomLabeledTree(rng, 20)
-	en, err := enum.NewEnumerator(e.cfg.MaxPatternEdges)
-	if err != nil {
+	var p Prepared
+	if err := e.PrepareTree(tree.NewTree(root), &p); err != nil {
 		t.Fatal(err)
 	}
-	err = en.ForEach(root, func(p *enum.Pattern) error {
-		if got, want := e.patternValue(p), e.PatternValue(p.ToTree()); got != want {
-			t.Fatalf("pattern %s: patternValue %d, PatternValue %d", p, got, want)
+	if len(p.vals) == 0 {
+		t.Fatal("prepared no occurrences")
+	}
+	for i, pat := range p.pats {
+		if got, want := p.vals[i], e.PatternValue(pat.ToTree()); got != want {
+			t.Fatalf("pattern %s: prepared value %d, PatternValue %d", pat, got, want)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 
 	"sketchtree/internal/ams"
-	"sketchtree/internal/enum"
 	"sketchtree/internal/exact"
 	"sketchtree/internal/gf2"
 	"sketchtree/internal/obs"
@@ -126,10 +125,6 @@ func Restore(data []byte) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	en, err := enum.NewEnumerator(cfg.MaxPatternEdges)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	e := &Engine{
 		cfg:     cfg,
 		fam:     fam,
@@ -138,15 +133,13 @@ func Restore(data []byte) (*Engine, error) {
 		fp:      fp,
 		//lint:allow determinism the PCG is reseeded from Config.Seed and the restored tree count, so Restore is reproducible by construction
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0x5ce7c47ee^uint64(sn.Trees))),
-		prep:     &xi.Prep{},
 		pass:     seeds.NewPass(),
-		en:       en,
+		own:      &Prepared{},
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		trees:    sn.Trees,
 		patterns: sn.Patterns,
 		met:      &obs.Metrics{},
 	}
-	e.visit = e.visitPattern
 	e.qest.New = func() any { return seeds.NewEstimator() }
 	// Stage timings and the latency histogram are process-local and
 	// start fresh, but the counters realign with the persisted totals

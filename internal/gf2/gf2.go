@@ -21,40 +21,33 @@ func Deg(p uint64) int {
 	return 63 - bits.LeadingZeros64(p)
 }
 
-// Clmul computes the 128-bit carry-less (GF(2)) product of a and b
-// using 4-bit windowing.
+// Clmul computes the 128-bit carry-less (GF(2)) product of a and b by
+// Karatsuba over 32-bit halves: three clmul32 products.
 func Clmul(a, b uint64) (hi, lo uint64) {
-	// Table of a times each nibble value, as (hi, lo) pairs. a*2^s for
-	// s in 0..3 spills at most 3 bits into the high word.
-	var tl, th [16]uint64
-	tl[1], th[1] = a, 0
-	tl[2], th[2] = a<<1, a>>63
-	tl[4], th[4] = a<<2, a>>62
-	tl[8], th[8] = a<<3, a>>61
-	for n := 3; n < 16; n++ {
-		if n&(n-1) == 0 {
-			continue // power of two, already filled
-		}
-		low := n & (-n)
-		rest := n ^ low
-		tl[n] = tl[low] ^ tl[rest]
-		th[n] = th[low] ^ th[rest]
-	}
-	for i := 0; i < 16 && b>>(4*uint(i)) != 0; i++ {
-		nib := (b >> (4 * uint(i))) & 0xf
-		if nib == 0 {
-			continue
-		}
-		s := 4 * uint(i)
-		if s == 0 {
-			lo ^= tl[nib]
-			hi ^= th[nib]
-		} else {
-			lo ^= tl[nib] << s
-			hi ^= th[nib]<<s | tl[nib]>>(64-s)
-		}
-	}
-	return hi, lo
+	a0, a1 := a&0xffffffff, a>>32
+	b0, b1 := b&0xffffffff, b>>32
+	p0, p2 := clmul32(a0, b0), clmul32(a1, b1)
+	p1 := clmul32(a0^a1, b0^b1) ^ p0 ^ p2
+	return p2 ^ p1>>32, p0 ^ p1<<32
+}
+
+// clmul32 returns the 64-bit carry-less product of two values below
+// 2^32 with integer multiplications. Each operand is split into four
+// parts of every fourth bit (8 bits each), so every bit of a part
+// product sits in a 4-bit slot whose column sums at most 8 one-bits:
+// carries stay inside the slot, and the slot's low bit is the column's
+// parity. Part products whose bit offsets add to r (mod 4) hold bit
+// positions ≡ r (mod 4) of the carry-less product.
+func clmul32(x, y uint64) uint64 {
+	const m0, m1, m2, m3 = 0x11111111, 0x22222222, 0x44444444, 0x88888888
+	x0, x1, x2, x3 := x&m0, x&m1, x&m2, x&m3
+	y0, y1, y2, y3 := y&m0, y&m1, y&m2, y&m3
+	z0 := x0*y0 ^ x1*y3 ^ x2*y2 ^ x3*y1
+	z1 := x0*y1 ^ x1*y0 ^ x2*y3 ^ x3*y2
+	z2 := x0*y2 ^ x1*y1 ^ x2*y0 ^ x3*y3
+	z3 := x0*y3 ^ x1*y2 ^ x2*y1 ^ x3*y0
+	return z0&0x1111111111111111 | z1&0x2222222222222222 |
+		z2&0x4444444444444444 | z3&0x8888888888888888
 }
 
 // Mod reduces a modulo the polynomial m (m != 0).
@@ -204,20 +197,67 @@ func DefaultModulus(deg int) uint64 {
 	}
 }
 
-// Field is GF(2^m) = GF(2)[x] / (modulus), for 1 <= m <= 63.
+// Field is GF(2^m) = GF(2)[x] / (modulus), for 1 <= m <= 63. A Field
+// is immutable after construction and safe for concurrent use.
 type Field struct {
 	modulus uint64
 	deg     int
 	mask    uint64 // deg low bits
 
-	// Byte-fold reduction table for degrees >= 8: red[t] = t·x^deg mod
-	// modulus, the same table Rabin fingerprinting uses. It turns the
-	// 128-bit reduction of Mul/Square into 16 table lookups instead of a
-	// 64-iteration branchy loop — the per-pattern ξ preparation (Reduce,
-	// Cube) is on the stream hot path. top is deg-8; red stays nil for
-	// degrees below 8, where the generic Mod128 is used instead.
-	red *[256]uint64
-	top uint
+	// Byte-fold reduction tables for degrees >= 8: fold[i][t] =
+	// t·x^(deg+8i) mod modulus. fold[0] folds one byte into a residue
+	// (foldByte); it turns the 128-bit reduction of Mul/Square into
+	// table lookups instead of a 64-iteration branchy loop — the
+	// per-pattern ξ preparation (Reduce, Cube) is on the stream hot
+	// path. All eight fold eight bytes at once, as independent lookups:
+	// the slicing-by-8 step of Rabin fingerprinting, which reads them
+	// through FoldTables. top is deg-8; fold stays nil for degrees
+	// below 8, where the generic Mod128 is used instead.
+	fold *[8][256]uint64
+	top  uint
+
+	// hiRed, for degrees >= 56, reduces the high word of a 128-bit
+	// product in one step: hiRed[i][t] = t·x^(64+8i) mod modulus, so
+	// hi·x^64 mod modulus is the XOR of eight independent lookups, one
+	// per byte of hi, instead of a serial fold through all 16 bytes.
+	// The low word then needs only fold[0]: above bit deg it has at
+	// most 8 bits. nil below degree 56.
+	hiRed *[8][256]uint64
+}
+
+// byteTable fills tab with tab[t] = t·x^e mod m for every byte t. The
+// eight powers x^e .. x^(e+7) form the basis; every other entry is the
+// XOR of the basis rows of its set bits (multiplication by a fixed
+// polynomial is GF(2)-linear), so the table costs one XOR per entry.
+// m must have degree >= 1.
+func byteTable(m uint64, e int, tab *[256]uint64) {
+	d := Deg(m)
+	if d < 1 {
+		panic("gf2: modulus must have degree >= 1")
+	}
+	p := Mod(1, m)
+	for i := 0; i < e; i++ {
+		p = mulX(p, m, d)
+	}
+	tab[0] = 0
+	for b := 0; b < 8; b++ {
+		tab[1<<b] = p
+		p = mulX(p, m, d)
+	}
+	for t := 3; t < 256; t++ {
+		if low := t & -t; low != t {
+			tab[t] = tab[low] ^ tab[t^low]
+		}
+	}
+}
+
+// mulX returns a·x mod m for a reduced a, where d = deg(m).
+func mulX(a, m uint64, d int) uint64 {
+	a <<= 1
+	if a&(1<<uint(d)) != 0 {
+		a ^= m
+	}
+	return a
 }
 
 // sqrTab spreads the 8 bits of a byte to the 16 even bit positions:
@@ -234,13 +274,29 @@ func init() {
 	}
 }
 
-// NewField constructs the field defined by the given irreducible
-// modulus. Returns an error if the modulus is reducible or out of
-// range.
+// Fields are cached per modulus, so the irreducibility test and the
+// reduction tables are paid once per process however many engines are
+// built or restored over the same field. The cache is bounded: past
+// maxCachedFields distinct moduli, fields are built uncached.
+const maxCachedFields = 64
+
+var (
+	fieldMu sync.Mutex
+	fields  = map[uint64]*Field{}
+)
+
+// NewField returns the field defined by the given irreducible modulus,
+// shared with every other caller of the same modulus. Returns an error
+// if the modulus is reducible or out of range.
 func NewField(modulus uint64) (*Field, error) {
 	d := Deg(modulus)
 	if d < 1 || d > 63 {
 		return nil, fmt.Errorf("gf2: modulus degree %d out of range [1, 63]", d)
+	}
+	fieldMu.Lock()
+	defer fieldMu.Unlock()
+	if f, ok := fields[modulus]; ok {
+		return f, nil
 	}
 	if !Irreducible(modulus) {
 		return nil, fmt.Errorf("gf2: modulus %#x is reducible", modulus)
@@ -248,19 +304,19 @@ func NewField(modulus uint64) (*Field, error) {
 	f := &Field{modulus: modulus, deg: d, mask: 1<<uint(d) - 1}
 	if d >= 8 {
 		f.top = uint(d - 8)
-		f.red = new([256]uint64)
-		for t := 1; t < 256; t++ {
-			// t·x^deg mod m, built by multiplying t by x deg times; t has
-			// degree <= 7 < deg, so the running value stays reduced.
-			v := uint64(t)
-			for i := 0; i < d; i++ {
-				v <<= 1
-				if v&(1<<uint(d)) != 0 {
-					v ^= modulus
-				}
-			}
-			f.red[t] = v
+		f.fold = new([8][256]uint64)
+		for i := range f.fold {
+			byteTable(modulus, d+8*i, &f.fold[i])
 		}
+	}
+	if d >= 56 {
+		f.hiRed = new([8][256]uint64)
+		for i := range f.hiRed {
+			byteTable(modulus, 64+8*i, &f.hiRed[i])
+		}
+	}
+	if len(fields) < maxCachedFields {
+		fields[modulus] = f
 	}
 	return f, nil
 }
@@ -281,8 +337,15 @@ func (f *Field) Degree() int { return f.deg }
 // Modulus returns the defining irreducible polynomial.
 func (f *Field) Modulus() uint64 { return f.modulus }
 
+// FoldTables returns the byte-fold tables, FoldTables()[i][t] =
+// t·x^(Degree+8i) mod Modulus, or nil below degree 8. They are shared
+// and must not be modified.
+func (f *Field) FoldTables() *[8][256]uint64 { return f.fold }
+
 // Reduce maps an arbitrary uint64 into the field by reduction mod the
 // modulus.
+//
+//lint:hotpath
 func (f *Field) Reduce(a uint64) uint64 { return Mod(a, f.modulus) }
 
 // Add returns a + b (XOR).
@@ -292,17 +355,25 @@ func (f *Field) Add(a, b uint64) uint64 { return a ^ b }
 // r·x^8 + b mod modulus, via one table lookup. Small enough for the
 // inliner, so the mod128 loop compiles without call overhead.
 func (f *Field) foldByte(r uint64, b byte) uint64 {
-	return (r<<8|uint64(b))&f.mask ^ f.red[r>>f.top]
+	return (r<<8|uint64(b))&f.mask ^ f.fold[0][r>>f.top]
 }
 
-// mod128 reduces the 128-bit polynomial (hi, lo) with the byte-fold
-// table when available (degree >= 8), else with the generic Mod128.
-// Folding the 16 bytes most-significant first computes
-// (hi·x^64 + lo) mod modulus exactly.
+// mod128 reduces the 128-bit polynomial (hi, lo): with the one-step
+// high-word tables from degree 56 up (the default ξ field has degree
+// 62), with the byte fold from degree 8, else with the generic
+// Mod128. Each path computes (hi·x^64 + lo) mod modulus exactly.
+//
+//lint:hotpath
 func (f *Field) mod128(hi, lo uint64) uint64 {
-	if f.red == nil {
+	if h := f.hiRed; h != nil {
+		return lo&f.mask ^ f.fold[0][lo>>uint(f.deg)] ^
+			h[0][byte(hi)] ^ h[1][byte(hi>>8)] ^ h[2][byte(hi>>16)] ^ h[3][byte(hi>>24)] ^
+			h[4][byte(hi>>32)] ^ h[5][byte(hi>>40)] ^ h[6][byte(hi>>48)] ^ h[7][byte(hi>>56)]
+	}
+	if f.fold == nil {
 		return Mod128(hi, lo, f.modulus)
 	}
+	// Folding the 16 bytes most-significant first.
 	var r uint64
 	for s := 56; s >= 0; s -= 8 {
 		r = f.foldByte(r, byte(hi>>uint(s)))
@@ -314,6 +385,8 @@ func (f *Field) mod128(hi, lo uint64) uint64 {
 }
 
 // Mul returns a * b in the field.
+//
+//lint:hotpath
 func (f *Field) Mul(a, b uint64) uint64 {
 	hi, lo := Clmul(a, b)
 	return f.mod128(hi, lo)
@@ -322,6 +395,8 @@ func (f *Field) Mul(a, b uint64) uint64 {
 // Square returns a² in the field. Squaring over GF(2) has no cross
 // terms — bit i maps to bit 2i — so the 128-bit square is 8 spread-table
 // lookups rather than a carry-less multiplication.
+//
+//lint:hotpath
 func (f *Field) Square(a uint64) uint64 {
 	lo := uint64(sqrTab[byte(a)]) |
 		uint64(sqrTab[byte(a>>8)])<<16 |
@@ -336,6 +411,8 @@ func (f *Field) Square(a uint64) uint64 {
 
 // Cube returns a³ in the field (used by the BCH four-wise ξ
 // construction).
+//
+//lint:hotpath
 func (f *Field) Cube(a uint64) uint64 { return f.Mul(f.Square(a), a) }
 
 // Pow returns a^e in the field by square-and-multiply.
@@ -364,13 +441,7 @@ func (f *Field) Inv(a uint64) uint64 {
 }
 
 // MulX returns a * x in the field (a single LFSR step).
-func (f *Field) MulX(a uint64) uint64 {
-	a <<= 1
-	if a&(1<<uint(f.deg)) != 0 {
-		a ^= f.modulus
-	}
-	return a
-}
+func (f *Field) MulX(a uint64) uint64 { return mulX(a, f.modulus, f.deg) }
 
 // Bit0MulMask returns the mask M such that for any field element c,
 // bit0(c * z) == parity(c & M). Bit i of M is bit 0 of x^i * z; the

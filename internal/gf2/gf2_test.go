@@ -48,6 +48,15 @@ func TestClmulKnown(t *testing.T) {
 	if hi != 0 || lo != 0 {
 		t.Error("Clmul with zero operand must be zero")
 	}
+	// Dense operands fill every column of the part products: the
+	// integer-multiply carries must stay inside their slots.
+	for _, c := range [][2]uint64{{^uint64(0), ^uint64(0)}, {0xffffffff, 0xffffffff}, {^uint64(0), 1<<63 | 1}, {0x5555555555555555, 0xaaaaaaaaaaaaaaaa}} {
+		h1, l1 := Clmul(c[0], c[1])
+		h2, l2 := clmulNaive(c[0], c[1])
+		if h1 != h2 || l1 != l2 {
+			t.Errorf("Clmul(%#x, %#x) = (%#x,%#x), naive (%#x,%#x)", c[0], c[1], h1, l1, h2, l2)
+		}
+	}
 }
 
 func TestQuickClmulMatchesNaive(t *testing.T) {
@@ -466,6 +475,57 @@ func TestFieldSquareMatchesMul(t *testing.T) {
 			hi, lo := Clmul(a, a)
 			if got, want := f.Square(a), Mod128(hi, lo, f.Modulus()); got != want {
 				t.Fatalf("deg %d: Square(%#x) = %#x, generic %#x", deg, a, got, want)
+			}
+		}
+	}
+}
+
+// The field's mod128 takes the one-step high-word tables from degree
+// 56 up and the byte fold below; both must equal the generic Mod128.
+func TestFastMod128MatchesMod128(t *testing.T) {
+	rng := rand.New(rand.NewPCG(19, 23))
+	for deg := 31; deg <= 63; deg++ {
+		for _, m := range []uint64{DefaultModulus(deg), RandomIrreducible(deg, rng)} {
+			f := MustField(m)
+			if (f.hiRed != nil) != (deg >= 56) {
+				t.Fatalf("degree %d: high-word tables present = %v", deg, f.hiRed != nil)
+			}
+			for i := 0; i < 300; i++ {
+				hi, lo := rng.Uint64(), rng.Uint64()
+				if i%3 == 0 {
+					hi >>= uint(rng.IntN(64))
+				}
+				if got, want := f.mod128(hi, lo), Mod128(hi, lo, m); got != want {
+					t.Fatalf("degree %d modulus %#x: mod128(%#x, %#x) = %#x, Mod128 %#x", deg, m, hi, lo, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Fields are shared per modulus, so repeated construction (every
+// engine restore) skips the irreducibility test and the tables.
+func TestNewFieldShared(t *testing.T) {
+	m := DefaultModulus(62)
+	if MustField(m) != MustField(m) {
+		t.Error("NewField of one modulus must return the shared field")
+	}
+}
+
+// byteTable's linear fill must equal multiplying each byte by x^e
+// bit by bit.
+func TestByteTableMatchesShifts(t *testing.T) {
+	m := DefaultModulus(61)
+	var tab [256]uint64
+	for _, e := range []int{0, 1, 61, 64, 120} {
+		byteTable(m, e, &tab)
+		for b := 0; b < 256; b++ {
+			v := Mod(uint64(b), m)
+			for i := 0; i < e; i++ {
+				v = MulMod(v, 2, m)
+			}
+			if tab[b] != v {
+				t.Fatalf("e=%d byte %#x: table %#x, shifted %#x", e, b, tab[b], v)
 			}
 		}
 	}

@@ -21,41 +21,37 @@ import (
 )
 
 // Fingerprinter computes fingerprints modulo a fixed irreducible
-// polynomial. It is safe for concurrent use after construction.
+// polynomial. It is immutable after construction and safe for
+// concurrent use.
 type Fingerprinter struct {
 	modulus uint64
 	deg     int
-	mask    uint64      // deg low bits
-	top     uint        // deg - 8
-	tab     [256]uint64 // tab[t] = (t * x^deg) mod modulus
+	mask    uint64 // deg low bits
+	top     uint   // deg - 8
+
+	// tab[i][t] = t·x^(deg+8i) mod modulus: the byte-fold tables of the
+	// field over the modulus (gf2.Field.FoldTables). tab[0] folds one
+	// byte (pushByte); all eight fold eight bytes at once (Fingerprint's
+	// slicing-by-8 step), as eight independent lookups instead of a
+	// chain of eight dependent ones.
+	tab *[8][256]uint64
 }
 
-// New constructs a Fingerprinter for the given irreducible modulus of
-// degree between 8 and 63.
+// New returns a Fingerprinter for the given irreducible modulus of
+// degree between 8 and 63. Its tables belong to the gf2.Field of the
+// modulus, which gf2 caches per modulus, so the irreducibility test
+// and the 16 KB of tables are paid once per process however many
+// engines are built or restored over the same modulus.
 func New(modulus uint64) (*Fingerprinter, error) {
 	d := gf2.Deg(modulus)
 	if d < 8 || d > 63 {
 		return nil, fmt.Errorf("rabin: modulus degree %d out of range [8, 63]", d)
 	}
-	if !gf2.Irreducible(modulus) {
-		return nil, fmt.Errorf("rabin: modulus %#x is reducible", modulus)
+	field, err := gf2.NewField(modulus)
+	if err != nil {
+		return nil, fmt.Errorf("rabin: %w", err)
 	}
-	f := &Fingerprinter{modulus: modulus, deg: d, mask: 1<<uint(d) - 1, top: uint(d - 8)}
-	for t := 0; t < 256; t++ {
-		// (t << deg) mod modulus, reduced bit by bit. t << deg can
-		// exceed 64 bits when deg > 56, so reduce incrementally: start
-		// from t mod m (= t, deg >= 8 > 8 bits? t < 256 has degree <= 7
-		// < deg) and multiply by x deg times.
-		v := uint64(t)
-		for i := 0; i < d; i++ {
-			v <<= 1
-			if v&(1<<uint(d)) != 0 {
-				v ^= modulus
-			}
-		}
-		f.tab[t] = v
-	}
-	return f, nil
+	return &Fingerprinter{modulus: modulus, deg: d, mask: 1<<uint(d) - 1, top: uint(d - 8), tab: field.FoldTables()}, nil
 }
 
 // MustNew is New that panics on error.
@@ -93,15 +89,28 @@ const initial = 1
 //
 //lint:hotpath
 func (f *Fingerprinter) pushByte(fp uint64, b byte) uint64 {
-	t := fp >> f.top
-	return (fp<<8|uint64(b))&f.mask ^ f.tab[t]
+	return (fp<<8|uint64(b))&f.mask ^ f.tab[0][fp>>f.top]
 }
 
-// Fingerprint returns the fingerprint of data.
+// Fingerprint returns the fingerprint of data. It folds eight bytes
+// per step: for the big-endian word B of the next eight bytes,
+// fp·x^64 + B = x^deg·U + (B mod x^deg) with U = fp·x^(64-deg) +
+// B/x^deg a 64-bit polynomial (fp < 2^deg), so the new state is
+// B's low deg bits XOR one tab lookup per byte of U. The tail folds
+// byte by byte; the result equals pushByte over every byte.
 //
 //lint:hotpath
 func (f *Fingerprinter) Fingerprint(data []byte) uint64 {
 	fp := uint64(initial)
+	sh := 64 - uint(f.deg)
+	for len(data) >= 8 {
+		b := binary.BigEndian.Uint64(data)
+		u := fp<<sh | b>>uint(f.deg)
+		fp = b&f.mask ^
+			f.tab[0][byte(u)] ^ f.tab[1][byte(u>>8)] ^ f.tab[2][byte(u>>16)] ^ f.tab[3][byte(u>>24)] ^
+			f.tab[4][byte(u>>32)] ^ f.tab[5][byte(u>>40)] ^ f.tab[6][byte(u>>48)] ^ f.tab[7][byte(u>>56)]
+		data = data[8:]
+	}
 	for _, b := range data {
 		fp = f.pushByte(fp, b)
 	}

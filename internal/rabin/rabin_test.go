@@ -222,3 +222,64 @@ func BenchmarkFingerprint64B(b *testing.B) {
 }
 
 var sink uint64
+
+// byteLoop is the reference fold: pushByte over every byte, the
+// definition the slicing-by-8 Fingerprint must reproduce.
+func byteLoop(f *Fingerprinter, data []byte) uint64 {
+	fp := uint64(initial)
+	for _, b := range data {
+		fp = f.pushByte(fp, b)
+	}
+	return fp
+}
+
+// The sliced Fingerprint folds eight bytes per step; it must equal the
+// byte-at-a-time loop at every modulus degree and at every length
+// around the eight-byte boundaries.
+func TestSlicedFingerprintMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 72))
+	data := make([]byte, 80)
+	for deg := 8; deg <= 63; deg++ {
+		f := MustNew(gf2.RandomIrreducible(deg, rng))
+		for trial := 0; trial < 4; trial++ {
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			if trial == 1 {
+				for i := range data {
+					data[i] = 0xff
+				}
+			}
+			for n := 0; n <= len(data); n++ {
+				if got, want := f.Fingerprint(data[:n]), byteLoop(f, data[:n]); got != want {
+					t.Fatalf("degree %d, %d bytes: sliced %#x, byte loop %#x", deg, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Fingerprinters of one modulus share the cached field's tables, and
+// tab[0] is the field's own byte-fold table.
+func TestNewSharesFingerprinter(t *testing.T) {
+	f1, f2 := MustNew(mod31), MustNew(mod31)
+	if f1.tab != f2.tab || f1.tab != gf2.MustField(mod31).FoldTables() {
+		t.Error("New of one modulus must share the field's fold tables")
+	}
+}
+
+func FuzzFingerprint(f *testing.F) {
+	f.Add(uint8(61), []byte("abc"))
+	f.Add(uint8(8), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(63), make([]byte, 17))
+	f.Fuzz(func(t *testing.T, deg uint8, data []byte) {
+		d := 8 + int(deg)%56
+		fp := MustNew(gf2.DefaultModulus(d))
+		if got, want := fp.Fingerprint(data), byteLoop(fp, data); got != want {
+			t.Fatalf("degree %d, %d bytes: sliced %#x, byte loop %#x", d, len(data), got, want)
+		}
+		if got, want := fp.Fingerprint(data), fingerprintNaive(data, fp.Modulus()); got != want {
+			t.Fatalf("degree %d, %d bytes: %#x, bitwise reference %#x", d, len(data), got, want)
+		}
+	})
+}

@@ -16,12 +16,12 @@
 // evaluates the arrival's ξ signs on every cell four times: for the
 // arrival, the add-back of its deleted instances, the re-estimate,
 // and the delete of the new estimate. Here the arrival is one fused
-// pass (ams.Sketch.UpdatePass) that records each cell's sign mask and
-// each row's sum of ξ·X, and Process works from that record. Because
+// pass (ams.Sketch.UpdatePass) that records the value's ξ sign words
+// and each row's sum of ξ·X, and Process works from that record. Because
 // ξ² = 1, adding f instances back raises every row sum by exactly
 // s1·f, so the re-estimate is a shift of the recorded sums; the
 // add-back and the delete then reach the sketch as one write of their
-// net change through the recorded masks. The result is exact, not
+// net change through the recorded signs. The result is exact, not
 // approximate: the row sums are integers far below 2^53, so the float
 // median of means sees the same values the per-cell estimator sums,
 // and integer counter updates commute. Only an evicted value, which
@@ -85,11 +85,12 @@ type Tracker struct {
 	deletedMass atomic.Int64
 
 	// Hot-path scratch: Process runs once per sampled pattern
-	// occurrence, so its eviction updates must not allocate. prep
-	// re-prepares evicted values, and free recycles list entries
+	// occurrence, so its eviction updates must not allocate. prep and
+	// signs re-prepare evicted values, and free recycles list entries
 	// displaced earlier.
-	prep *xi.Prep
-	free []*entry
+	prep  *xi.Prep
+	signs []uint64
+	free  []*entry
 }
 
 // New creates a tracker of capacity k over the sketch.
@@ -105,6 +106,7 @@ func New(k int, sketch *ams.Sketch) (*Tracker, error) {
 		sketch:  sketch,
 		entries: make(map[uint64]*entry),
 		prep:    &xi.Prep{},
+		signs:   make([]uint64, sketch.Seeds().Batch().SignWords()),
 	}, nil
 }
 
@@ -176,8 +178,10 @@ func (t *Tracker) Process(v uint64, ps *ams.Pass) {
 			// Evict the minimum: restore its instances to the sketch.
 			min := heap.Pop(&t.heap).(*entry)
 			delete(t.entries, min.value)
-			t.sketch.Seeds().Prepare(min.value, t.prep)
-			t.sketch.UpdatePrepared(t.prep, min.freq)
+			seeds := t.sketch.Seeds()
+			seeds.Prepare(min.value, t.prep)
+			seeds.Batch().Signs(t.prep, t.signs)
+			t.sketch.UpdateSigns(t.signs, min.freq)
 			t.evictions.Add(1)
 			t.deletedMass.Add(-min.freq)
 			t.free = append(t.free, min)
@@ -370,6 +374,7 @@ func (t *Tracker) Clone(sketch *ams.Sketch) *Tracker {
 		entries: make(map[uint64]*entry, len(t.heap)),
 		heap:    make(entryHeap, len(t.heap)),
 		prep:    &xi.Prep{},
+		signs:   make([]uint64, len(t.signs)),
 	}
 	slab := make([]entry, len(t.heap))
 	for i, e := range t.heap {

@@ -24,8 +24,10 @@ func newSketch(t testing.TB, s1, s2 int, seed uint64) *ams.Sketch {
 // process feeds a value arrival through the fused sketch update +
 // Algorithm 4, the order prescribed by Algorithm 1.
 func process(tr *Tracker, sk *ams.Sketch, v uint64) {
-	ps := sk.Seeds().NewPass()
-	sk.UpdatePass(sk.Seeds().Prepare(v, nil), 1, ps)
+	se := sk.Seeds()
+	ps, signs := se.NewPass(), make([]uint64, se.Batch().SignWords())
+	se.Batch().Signs(se.Prepare(v, nil), signs)
+	sk.UpdatePass(signs, 1, ps)
 	tr.Process(v, ps)
 }
 
@@ -274,12 +276,14 @@ func BenchmarkProcess(b *testing.B) {
 		vals[i] = uint64(rng.ExpFloat64() * 20) // skewed
 	}
 	p, ps := &xi.Prep{}, sk.Seeds().NewPass()
+	signs := make([]uint64, sk.Seeds().Batch().SignWords())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := vals[i%len(vals)]
 		sk.Seeds().Prepare(v, p)
-		sk.UpdatePass(p, 1, ps)
+		sk.Seeds().Batch().Signs(p, signs)
+		sk.UpdatePass(signs, 1, ps)
 		tr.Process(v, ps)
 	}
 }
@@ -378,12 +382,14 @@ func TestProcessZeroAlloc(t *testing.T) {
 		}
 	}
 	p, ps := &xi.Prep{}, sk.Seeds().NewPass()
+	signs := make([]uint64, sk.Seeds().Batch().SignWords())
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		v := vals[i%len(vals)]
 		i++
 		sk.Seeds().Prepare(v, p)
-		sk.UpdatePass(p, 1, ps)
+		sk.Seeds().Batch().Signs(p, signs)
+		sk.UpdatePass(signs, 1, ps)
 		tr.Process(v, ps)
 	})
 	if allocs != 0 {

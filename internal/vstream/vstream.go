@@ -113,24 +113,32 @@ func (s *Streams) Update(v uint64, delta int64) {
 	s.UpdatePrepared(v, s.seeds.Prepare(v, nil), delta)
 }
 
-// UpdatePrepared is Update with a caller-managed ξ preparation (the
-// stream hot path reuses one Prep across values).
-//
-//lint:hotpath
+// UpdatePrepared is Update with a caller-managed ξ preparation.
 func (s *Streams) UpdatePrepared(v uint64, p *xi.Prep, delta int64) {
 	r := s.Route(v)
 	s.sketches[r].UpdatePrepared(p, delta)
 	s.items[r].Add(delta)
 }
 
-// UpdatePass is UpdatePrepared through the fused arrival pass: it
-// also records v's sign masks and row sums in ps for the top-k
-// tracker of v's virtual stream.
+// UpdateSigns adds delta occurrences of v to its virtual stream,
+// reading v's ξ signs from the words Batch.Signs wrote for it (the
+// stream hot path prepares them ahead, outside any lock).
 //
 //lint:hotpath
-func (s *Streams) UpdatePass(v uint64, p *xi.Prep, delta int64, ps *ams.Pass) {
+func (s *Streams) UpdateSigns(v uint64, signs []uint64, delta int64) {
 	r := s.Route(v)
-	s.sketches[r].UpdatePass(p, delta, ps)
+	s.sketches[r].UpdateSigns(signs, delta)
+	s.items[r].Add(delta)
+}
+
+// UpdatePass is UpdateSigns through the fused arrival pass: it also
+// records v's signs and row sums in ps for the top-k tracker of v's
+// virtual stream.
+//
+//lint:hotpath
+func (s *Streams) UpdatePass(v uint64, signs []uint64, delta int64, ps *ams.Pass) {
+	r := s.Route(v)
+	s.sketches[r].UpdatePass(signs, delta, ps)
 	s.items[r].Add(delta)
 }
 

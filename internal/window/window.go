@@ -186,18 +186,20 @@ func (w *Windowed) newSlice(start time.Time) (*slice, error) {
 	return &slice{eng: eng, start: start}, nil
 }
 
-// Add folds one tree into the current slice, advancing first if the
-// clock cadence is due and afterwards if the count cadence fills the
-// slice. advanced reports whether the ring moved, so the owner knows to
-// publish a fresh Build.
+// Add folds one tree, prepared against the template (or any engine
+// sharing its mapping), into the current slice, advancing first if
+// the clock cadence is due and afterwards if the count cadence fills
+// the slice. advanced reports whether the ring moved, so the owner
+// knows to publish a fresh Build. Preparing is the owner's part, done
+// before it serializes the call.
 //
 //lint:hotpath
-func (w *Windowed) Add(t *tree.Tree) (advanced bool, err error) {
+func (w *Windowed) Add(p *core.Prepared) (advanced bool, err error) {
 	if advanced, err = w.AdvanceDue(); err != nil {
 		return advanced, err
 	}
 	cur := w.current()
-	if err := cur.eng.AddTree(t); err != nil {
+	if err := cur.eng.ApplyPrepared(p); err != nil {
 		return advanced, err
 	}
 	cur.trees.Add(1)

@@ -53,6 +53,17 @@ func (c *fakeClock) Now() time.Time       { return c.now }
 func (c *fakeClock) Tick(d time.Duration) { c.now = c.now.Add(d) }
 func newFakeClock() *fakeClock            { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
 
+// add prepares tr against the ring's template, as the ring's owner
+// does outside its lock, and folds it in.
+func add(t *testing.T, w *Windowed, tr *tree.Tree) (bool, error) {
+	t.Helper()
+	var p core.Prepared
+	if err := w.template.PrepareTree(tr, &p); err != nil {
+		t.Fatal(err)
+	}
+	return w.Add(&p)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Policy{Slices: 2}, nil); err == nil {
 		t.Error("nil template must fail")
@@ -136,7 +147,7 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 	live := [][]int{{}}
 	const total = 23
 	for i := 0; i < total; i++ {
-		advanced, err := w.Add(doc(i))
+		advanced, err := add(t, w, doc(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +215,7 @@ func TestCountCadenceAdvanceAndExpire(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ { // 3 full slices: 2 advances keep the ring, 1 expires
-		if _, err := w.Add(doc(i)); err != nil {
+		if _, err := add(t, w, doc(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,14 +248,14 @@ func TestClockCadenceAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if advanced, err := w.Add(doc(i)); err != nil || advanced {
+		if advanced, err := add(t, w, doc(i)); err != nil || advanced {
 			t.Fatalf("add %d: advanced = %v, err = %v; want no advance", i, advanced, err)
 		}
 	}
 	// One slice duration elapses: the next mutator advances first, so
 	// the 4 docs seal into the previous slice.
 	clk.Tick(time.Minute)
-	if advanced, err := w.Add(doc(4)); err != nil || !advanced {
+	if advanced, err := add(t, w, doc(4)); err != nil || !advanced {
 		t.Fatalf("add after a slice duration: advanced = %v, err = %v; want an advance", advanced, err)
 	}
 	ws := w.Status()
@@ -298,7 +309,7 @@ func TestRemoveTargetsCurrentSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := w.Add(doc(i)); err != nil {
+		if _, err := add(t, w, doc(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

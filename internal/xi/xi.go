@@ -26,13 +26,16 @@
 // per-instance Xi that reduces to AND + popcount-parity on the prepared
 // words. For the Poly construction this uses the identity
 // bit0(c · z) = parity(c & M(z)) with M(z) the bit-0 mask of
-// multiplication by z (gf2.Field.Bit0MulMask).
+// multiplication by z (gf2.Field.Bit0MulMask). Xi is the reference
+// definition; the stream path evaluates all instances at once with
+// Batch.Signs, bit-sliced from per-nibble tables.
 package xi
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"sketchtree/internal/gf2"
 )
@@ -236,22 +239,40 @@ func (g *Generator) MemoryBytes() int {
 	return n
 }
 
-// Batch is a flattened view of many generators of one family, laid out
-// word-major: words[j][c] is seed word j of generator c, and signs[c]
-// is generator c's BCH sign bit. Evaluating one prepared value against
-// all generators then walks contiguous arrays instead of chasing one
-// pointer per generator — the s1×s2-cell sketch update is the
-// per-pattern inner loop of stream processing (paper Algorithm 1), so
-// this layout is what makes "one ξ preparation, all counters" cheap.
+// Batch is a flattened view of many generators of one family, built
+// for the per-pattern inner loop of stream processing (paper
+// Algorithm 1): one prepared value updates all s1×s2 cells.
 //
-// A Batch aliases nothing mutable: generator seeds are immutable after
-// construction, so a Batch built once stays valid for the life of its
-// generators and is safe for concurrent readers.
+// Every ξ bit is GF(2)-linear in the prepared words: bit_c = sign_c ⊕
+// ⊕_j parity(seed_j[c] & w_j), for BCH (words v, v³, plus the sign
+// bit) and Poly (words Bit0MulMask(v^j), no sign bit) alike. So the
+// bits of all cells at once — one bit per cell, packed 64 cells to a
+// word — are the sign words XOR, for every prepared word j and every
+// nibble position n, a table row T[j][n][nibble n of w_j]. Signs
+// computes them with ⌈deg/4⌉ row XORs per prepared word, whatever the
+// number of cells; AddSigns and its row-summing twins then read one
+// bit per cell. For BCH at the default 175 cells over a degree-62
+// field the tables take 2·16·16 rows of 3 words, 12 KB. They are
+// stored by sign word, so Signs keeps each word of the result in a
+// register across all its lookups.
+//
+// The tables are built on the first Signs call, not by NewBatch, so
+// restoring a synopsis that is only merged or marshaled never pays for
+// them. A Batch aliases nothing mutable: generator seeds are immutable
+// after construction, so a Batch stays valid for the life of its
+// generators and is safe for concurrent readers, the lazy build
+// included.
 type Batch struct {
 	fam   *Family
 	n     int
 	signs []uint64   // BCH sign bit per generator; nil for Poly
 	words [][]uint64 // words[j][c] = seed word j of generator c
+
+	once sync.Once
+	nw   int      // sign words per value: ⌈n/64⌉
+	nib  int      // nibbles per prepared word: ⌈deg/4⌉
+	base []uint64 // packed sign bits (zero for Poly)
+	tab  []uint64 // tab[(k·len(words)·nib + j·nib+n)·16 + x] = word k of T[j][n][x]
 }
 
 // NewBatch flattens the given generators, which must all belong to the
@@ -261,7 +282,7 @@ func NewBatch(gens []*Generator) (*Batch, error) {
 		return nil, fmt.Errorf("xi: empty generator set")
 	}
 	fam := gens[0].fam
-	b := &Batch{fam: fam, n: len(gens), words: make([][]uint64, fam.words())}
+	b := &Batch{fam: fam, n: len(gens), words: make([][]uint64, fam.words()), nw: (len(gens) + 63) / 64}
 	for j := range b.words {
 		b.words[j] = make([]uint64, len(gens))
 	}
@@ -285,119 +306,138 @@ func NewBatch(gens []*Generator) (*Batch, error) {
 // Len returns the number of generators in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// AddInto adds delta·ξ_c(p) to x[c] for every generator c in one pass.
-// x must have exactly Len entries. The update is branchless: ξ is ±1
-// with equal probability, so a conditional here would mispredict half
-// the time.
-func (b *Batch) AddInto(p *Prep, delta int64, x []int64) {
-	x = x[:b.n]
-	if b.fam.kind == BCH {
-		w0, w1 := p.words[0], p.words[1]
-		s0 := b.words[0][:b.n]
-		s1 := b.words[1][:b.n]
-		signs := b.signs[:b.n]
-		for c := range x {
-			bit := signs[c] ^
-				uint64(bits.OnesCount64(s0[c]&w0)) ^
-				uint64(bits.OnesCount64(s1[c]&w1))
-			m := -int64(bit & 1)
-			x[c] += (delta ^ m) - m // delta when bit even, -delta when odd
-		}
-		return
+// SignWords returns the number of words Signs writes per value:
+// ⌈Len/64⌉.
+func (b *Batch) SignWords() int { return b.nw }
+
+// build fills the sign tables by linearity: the basis row of prepared
+// word j and bit i holds the cells whose seed word j has bit i set,
+// and every other entry of a nibble table is the XOR of the basis rows
+// of its set bits.
+func (b *Batch) build() {
+	nw, nib := b.nw, (b.fam.field.Degree()+3)/4
+	b.nib = nib
+	b.base = make([]uint64, nw)
+	for c, sg := range b.signs {
+		b.base[c>>6] |= (sg & 1) << uint(c&63)
 	}
-	for c := range x {
-		var bit uint64
-		for j, w := range p.words {
-			bit ^= uint64(bits.OnesCount64(b.words[j][c] & w))
+	groups := len(b.words) * nib
+	b.tab = make([]uint64, nw*groups*16)
+	for j, seeds := range b.words {
+		for c, s := range seeds {
+			for ; s != 0; s &= s - 1 {
+				i := bits.TrailingZeros64(s)
+				b.tab[((c>>6)*groups+j*nib+i/4)*16+1<<uint(i%4)] |= 1 << uint(c&63)
+			}
 		}
-		m := -int64(bit & 1)
-		x[c] += (delta ^ m) - m
+	}
+	for g := 0; g < len(b.tab); g += 16 {
+		blk := b.tab[g : g+16]
+		for x := 3; x < 16; x++ {
+			if low := x & -x; low != x {
+				blk[x] = blk[low] ^ blk[x^low]
+			}
+		}
 	}
 }
 
-// AddIntoRows is AddInto fused with the reads top-k processing needs
-// right after an arrival (paper Algorithm 4). In the same pass it
-// stores each cell's sign mask — 0 for ξ = +1, −1 for ξ = −1 — in
-// masks, and each row's sum Σ ξ_c·x[c] over the updated counters in
-// rows. Cells are taken in rows of Len/len(rows) consecutive
-// generators; x and masks must have exactly Len entries. Later writes
-// of the same value then go through AddMasked, and later estimates
-// through the row sums, without evaluating ξ again.
+// Signs writes the ξ sign bits of every generator on p into dst: bit
+// c%64 of dst[c/64] is 1 where ξ_c(p) = −1. dst must have at least
+// SignWords entries. Signs only reads the batch, so any number of
+// goroutines may prepare values against one Batch concurrently.
 //
 //lint:hotpath
-func (b *Batch) AddIntoRows(p *Prep, delta int64, x, masks, rows []int64) {
-	w := b.n / len(rows)
+func (b *Batch) Signs(p *Prep, dst []uint64) {
+	b.once.Do(b.build)
+	per := len(b.words) * b.nib * 16
+	for k := range dst[:b.nw] {
+		dst[k] = b.base[k] ^ signWord(b.tab[k*per:(k+1)*per], p.words, b.nib)
+	}
+}
+
+// signWord is one word of Signs: the XOR of one table entry per nibble
+// of the prepared words, from the sign word's own table. It is not
+// inlined so that its loop state stays in registers; inlined into
+// Signs, the nibble and table offsets spill to the stack on every
+// lookup.
+//
+//lint:hotpath
+//go:noinline
+func signWord(tab, words []uint64, nib int) (acc uint64) {
+	g := 0
+	for _, w := range words {
+		for n := 0; n < nib; n++ {
+			acc ^= tab[g+int(w&15)]
+			w >>= 4
+			g += 16
+		}
+	}
+	return acc
+}
+
+// AddSigns adds delta·ξ_c to x[c] for every cell, reading the signs
+// from bits written by Signs. The update is branchless: ξ is ±1 with
+// equal probability, so a conditional here would mispredict half the
+// time.
+//
+//lint:hotpath
+func AddSigns(signs []uint64, delta int64, x []int64) {
+	d2 := 2 * delta
+	for lo := 0; lo < len(x); lo += 64 {
+		w := signs[lo>>6]
+		xs := x[lo:min(lo+64, len(x))]
+		for c := range xs {
+			xs[c] += delta - d2&-int64(w&1) // delta for ξ = +1, −delta for ξ = −1
+			w >>= 1
+		}
+	}
+}
+
+// AddSignsRows is AddSigns fused with the reads top-k processing needs
+// right after an arrival (paper Algorithm 4): in the same pass it
+// stores each row's sum Σ ξ_c·x[c] over the updated counters in rows.
+// Cells are taken in rows of len(x)/len(rows) consecutive cells.
+//
+//lint:hotpath
+func AddSignsRows(signs []uint64, delta int64, x, rows []int64) {
+	w, d2 := len(x)/len(rows), 2*delta
+	var word uint64
+	c := 0
 	for i := range rows {
-		lo, hi := i*w, i*w+w
-		xr, mr := x[lo:hi], masks[lo:hi]
-		mr = mr[:len(xr)]
-		b.masksInto(p, lo, mr)
 		var sum int64
-		for c, m := range mr {
-			y := xr[c] + (delta ^ m) - m
-			xr[c] = y
+		for end := c + w; c < end; c++ {
+			if c&63 == 0 {
+				word = signs[c>>6]
+			}
+			m := -int64(word & 1) // 0 for ξ = +1, −1 for ξ = −1
+			word >>= 1
+			y := x[c] + delta - d2&m
+			x[c] = y
 			sum += (y ^ m) - m
 		}
 		rows[i] = sum
 	}
 }
 
-// RowsInto writes each row's sum Σ ξ_c·x[c] for the prepared value
-// into rows, reading x only: the query-side twin of AddIntoRows, safe
-// for concurrent readers of one frozen counter array. masks is
-// Len-entry scratch.
+// SignedRows writes each row's sum Σ ξ_c·x[c] into rows, reading x
+// only: the query-side twin of AddSignsRows, safe for concurrent
+// readers of one frozen counter array.
 //
 //lint:hotpath
-func (b *Batch) RowsInto(p *Prep, x, masks, rows []int64) {
-	w := b.n / len(rows)
+func SignedRows(signs []uint64, x, rows []int64) {
+	w := len(x) / len(rows)
+	var word uint64
+	c := 0
 	for i := range rows {
-		lo, hi := i*w, i*w+w
-		xr, mr := x[lo:hi], masks[lo:hi]
-		mr = mr[:len(xr)]
-		b.masksInto(p, lo, mr)
 		var sum int64
-		for c, m := range mr {
-			sum += (xr[c] ^ m) - m
+		for end := c + w; c < end; c++ {
+			if c&63 == 0 {
+				word = signs[c>>6]
+			}
+			m := -int64(word & 1)
+			word >>= 1
+			sum += (x[c] ^ m) - m
 		}
 		rows[i] = sum
-	}
-}
-
-// masksInto writes the sign masks on p of the len(dst) generators
-// from lo on into dst. One popcount per cell suffices: the parity of a
-// sum of popcounts is the parity of the popcount of the XOR of its
-// operands.
-//
-//lint:hotpath
-func (b *Batch) masksInto(p *Prep, lo int, dst []int64) {
-	if b.fam.kind == BCH {
-		w0, w1 := p.words[0], p.words[1]
-		signs := b.signs[lo : lo+len(dst)]
-		s0 := b.words[0][lo : lo+len(signs)]
-		s1 := b.words[1][lo : lo+len(signs)]
-		for c, sg := range signs {
-			bit := sg ^ uint64(bits.OnesCount64(s0[c]&w0^s1[c]&w1))
-			dst[c] = -int64(bit & 1)
-		}
-		return
-	}
-	for c := range dst {
-		var acc uint64
-		for j, w := range p.words {
-			acc ^= b.words[j][lo+c] & w
-		}
-		dst[c] = -int64(bits.OnesCount64(acc) & 1)
-	}
-}
-
-// AddMasked adds delta·ξ_c to x[c] for every cell, reading the signs
-// from masks written by AddIntoRows for the same value: a write of a
-// value already evaluated once, with no popcount.
-//
-//lint:hotpath
-func AddMasked(masks []int64, delta int64, x []int64) {
-	masks = masks[:len(x)]
-	for c, m := range masks {
-		x[c] += (delta ^ m) - m
 	}
 }

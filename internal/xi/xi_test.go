@@ -364,19 +364,19 @@ func TestBatchMatchesGeneratorXi(t *testing.T) {
 		if b.Len() != len(gens) {
 			t.Fatalf("Len = %d, want %d", b.Len(), len(gens))
 		}
-		// AddIntoRows updates fused as one row of 37 cells; RowsInto
+		// AddSignsRows updates fused as one row of 37 cells; SignedRows
 		// also reads it as 37 rows of one cell, pinning the row split.
 		x := make([]int64, len(gens))
 		fused := make([]int64, len(gens))
 		want := make([]int64, len(gens))
-		masks := make([]int64, len(gens))
-		scratch := make([]int64, len(gens))
+		signs := make([]uint64, b.SignWords())
 		p := &Prep{}
 		for i := 0; i < 200; i++ {
 			v := rng.Uint64()
 			delta := int64(rng.IntN(7) - 3)
 			fam.Prepare(v, p)
-			b.AddInto(p, delta, x)
+			b.Signs(p, signs)
+			AddSigns(signs, delta, x)
 			for c, g := range gens {
 				want[c] += int64(g.Xi(p)) * delta
 			}
@@ -384,37 +384,77 @@ func TestBatchMatchesGeneratorXi(t *testing.T) {
 				rows := make([]int64, nrows)
 				got := make([]int64, nrows)
 				if nrows == 1 {
-					b.AddIntoRows(p, delta, fused, masks, rows)
+					AddSignsRows(signs, delta, fused, rows)
 				}
-				b.RowsInto(p, fused, scratch, got)
+				SignedRows(signs, fused, got)
 				wantRows := make([]int64, nrows)
 				for c, g := range gens {
-					xi := g.Xi(p)
-					if m := masks[c]; xi == 1 && m != 0 || xi == -1 && m != -1 {
-						t.Fatalf("kind %v value %#x cell %d: mask %d, xi %d", fam.Kind(), v, c, m, xi)
-					}
-					wantRows[c*nrows/len(gens)] += int64(xi) * fused[c]
+					wantRows[c*nrows/len(gens)] += int64(g.Xi(p)) * fused[c]
 				}
 				for r := range got {
 					if nrows == 1 && rows[r] != wantRows[r] {
-						t.Fatalf("kind %v value %#x: AddIntoRows row sum %d, want %d", fam.Kind(), v, rows[r], wantRows[r])
+						t.Fatalf("kind %v value %#x: AddSignsRows row sum %d, want %d", fam.Kind(), v, rows[r], wantRows[r])
 					}
 					if got[r] != wantRows[r] {
-						t.Fatalf("kind %v value %#x row %d/%d: RowsInto %d, want %d", fam.Kind(), v, r, nrows, got[r], wantRows[r])
+						t.Fatalf("kind %v value %#x row %d/%d: SignedRows %d, want %d", fam.Kind(), v, r, nrows, got[r], wantRows[r])
 					}
 				}
-			}
-			// A masked write of the same value matches a fresh AddInto.
-			d2 := int64(rng.IntN(5) - 2)
-			AddMasked(masks, d2, fused)
-			b.AddInto(p, d2, x)
-			for c, g := range gens {
-				want[c] += int64(g.Xi(p)) * d2
 			}
 		}
 		for c := range x {
 			if x[c] != want[c] || fused[c] != want[c] {
 				t.Fatalf("kind %v cell %d: batched counter %d, fused %d, per-generator %d", fam.Kind(), c, x[c], fused[c], want[c])
+			}
+		}
+	}
+}
+
+// checkSigns compares Batch.Signs against the reference Generator.Xi
+// on every cell, and asserts the padding bits past Len stay clear.
+func checkSigns(t testing.TB, gens []*Generator, b *Batch, p *Prep, signs []uint64) {
+	t.Helper()
+	b.Signs(p, signs)
+	for c, g := range gens {
+		bit := signs[c/64] >> uint(c%64) & 1
+		if want := g.Xi(p) == -1; (bit == 1) != want {
+			t.Fatalf("kind %v, %d cells: cell %d sign bit %d, Xi %d", g.fam.Kind(), len(gens), c, bit, g.Xi(p))
+		}
+	}
+	if r := len(gens) % 64; r != 0 && signs[len(signs)-1]>>uint(r) != 0 {
+		t.Fatalf("kind %v, %d cells: padding bits set %#x", gens[0].fam.Kind(), len(gens), signs[len(signs)-1])
+	}
+}
+
+// The bit-sliced sign kernel must equal the per-generator definition
+// for both families at every sign-word boundary: below, at and past 64
+// cells, the default 175 cells and a wide 525.
+func TestSignsMatchXi(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 34))
+	poly, err := NewPolyFamily(field63, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field62 := gf2.MustField(gf2.DefaultModulus(62))
+	for _, fam := range []*Family{NewBCHFamily(field62), NewBCHFamily(field63), poly} {
+		for _, n := range []int{1, 63, 64, 65, 175, 525} {
+			gens := make([]*Generator, n)
+			for i := range gens {
+				gens[i] = fam.NewGenerator(rng)
+			}
+			b, err := NewBatch(gens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (n + 63) / 64; b.SignWords() != want {
+				t.Fatalf("%d cells: SignWords %d, want %d", n, b.SignWords(), want)
+			}
+			signs := make([]uint64, b.SignWords())
+			p := &Prep{}
+			for _, v := range []uint64{0, 1, 2, 1<<61 - 1, 0x9e3779b97f4a7c15 >> 3} {
+				checkSigns(t, gens, b, fam.Prepare(v, p), signs)
+			}
+			for i := 0; i < 50; i++ {
+				checkSigns(t, gens, b, fam.Prepare(rng.Uint64()>>2, p), signs)
 			}
 		}
 	}
@@ -432,7 +472,7 @@ func TestNewBatchValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkBatchAddIntoBCH175(b *testing.B) {
+func batch175(b *testing.B) (*Batch, *Prep) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	fam := NewBCHFamily(field63)
 	gens := make([]*Generator, 175) // s1=25 × s2=7, the default sketch
@@ -443,34 +483,41 @@ func BenchmarkBatchAddIntoBCH175(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := make([]int64, len(gens))
-	p := fam.Prepare(0x9e3779b97f4a7c15, nil)
+	return batch, fam.Prepare(0x9e3779b97f4a7c15, nil)
+}
+
+func BenchmarkBatchSignsBCH175(b *testing.B) {
+	batch, p := batch175(b)
+	signs := make([]uint64, batch.SignWords())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch.AddInto(p, 1, x)
+		batch.Signs(p, signs)
 	}
 }
 
-func BenchmarkBatchAddIntoRowsBCH175(b *testing.B) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	fam := NewBCHFamily(field63)
-	gens := make([]*Generator, 175)
-	for i := range gens {
-		gens[i] = fam.NewGenerator(rng)
-	}
-	batch, err := NewBatch(gens)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]int64, len(gens))
-	masks := make([]int64, len(gens))
-	rows := make([]int64, 7)
-	p := fam.Prepare(0x9e3779b97f4a7c15, nil)
+func BenchmarkAddSigns175(b *testing.B) {
+	batch, p := batch175(b)
+	signs := make([]uint64, batch.SignWords())
+	batch.Signs(p, signs)
+	x := make([]int64, batch.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch.AddIntoRows(p, 1, x, masks, rows)
+		AddSigns(signs, 1, x)
+	}
+}
+
+func BenchmarkAddSignsRows175(b *testing.B) {
+	batch, p := batch175(b)
+	signs := make([]uint64, batch.SignWords())
+	batch.Signs(p, signs)
+	x := make([]int64, batch.Len())
+	rows := make([]int64, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddSignsRows(signs, 1, x, rows)
 	}
 }
 
@@ -494,4 +541,30 @@ func BenchmarkGeneratorXi175(b *testing.B) {
 			}
 		}
 	}
+}
+
+func FuzzSigns(f *testing.F) {
+	f.Add(uint64(0), uint64(1), uint16(175), false)
+	f.Add(uint64(1<<61-1), uint64(7), uint16(64), true)
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(3), uint16(65), false)
+	poly, err := NewPolyFamily(field63, 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, v, seed uint64, cells uint16, usePoly bool) {
+		fam := NewBCHFamily(field63)
+		if usePoly {
+			fam = poly
+		}
+		rng := rand.New(rand.NewPCG(seed, 5))
+		gens := make([]*Generator, 1+int(cells)%600)
+		for i := range gens {
+			gens[i] = fam.NewGenerator(rng)
+		}
+		b, err := NewBatch(gens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSigns(t, gens, b, fam.Prepare(v, nil), make([]uint64, b.SignWords()))
+	})
 }
